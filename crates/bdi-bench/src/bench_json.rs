@@ -57,11 +57,6 @@ pub fn num_u(x: u64) -> Value {
     Value::Number(Number::U(x))
 }
 
-/// String value.
-pub fn str_v(s: &str) -> Value {
-    Value::String(s.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

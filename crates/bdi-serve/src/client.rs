@@ -36,6 +36,28 @@ fn bad(message: impl Into<String>) -> Error {
     Error::new(ErrorKind::InvalidData, message.into())
 }
 
+/// Read one response off a connection, autodetecting its format from
+/// the first byte exactly like the server's receive side: the frame
+/// magic means a binary reply (read into `scratch`), anything else a
+/// JSON line.
+pub(crate) fn read_response(
+    reader: &mut BufReader<TcpStream>,
+    scratch: &mut Vec<u8>,
+) -> std::io::Result<Response> {
+    let closed = || Error::new(ErrorKind::UnexpectedEof, "peer closed connection");
+    let first = *reader.fill_buf()?.first().ok_or_else(closed)?;
+    if first == frame::FRAME_MAGIC {
+        frame::read_frame(reader, scratch)?;
+        let (opcode, payload) = frame::open_frame(scratch)?;
+        return frame::decode_response(opcode, payload);
+    }
+    let mut reply = String::new();
+    if reader.read_line(&mut reply)? == 0 {
+        return Err(closed());
+    }
+    serde_json::from_str(&reply).map_err(|e| bad(format!("bad response: {e}")))
+}
+
 impl Client {
     /// Connect to a server address.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
@@ -56,9 +78,8 @@ impl Client {
 
     /// Run a `hello` round trip and switch this connection to binary
     /// frames if the server advertises the `binary-frames` feature.
-    /// Returns whether the upgrade happened. Safe against old or
-    /// JSON-only servers — they simply don't list the feature and the
-    /// connection stays on JSON lines.
+    /// Returns whether the upgrade happened. Safe against peers that
+    /// don't list the feature — the connection stays on JSON lines.
     pub fn negotiate_binary(&mut self) -> std::io::Result<bool> {
         let (_, features) = self.hello()?;
         self.binary = features.iter().any(|f| f == FEATURE_BINARY);
@@ -103,14 +124,7 @@ impl Client {
     /// (ingest_batch, flush, sync, restore) go as frames; everything
     /// else stays on JSON lines — the server autodetects per message.
     pub fn call(&mut self, request: &Request) -> std::io::Result<Response> {
-        if self.binary && frame::encode_request(&mut self.wbuf, request) {
-            self.writer.write_all(&self.wbuf)?;
-            self.writer.flush()?;
-            return self.recv();
-        }
-        let line = serde_json::to_string(request).map_err(|e| bad(e.to_string()))?;
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
+        self.send(request, None)?;
         self.recv()
     }
 
@@ -124,51 +138,33 @@ impl Client {
         request: &Request,
         ctx: TraceContext,
     ) -> std::io::Result<Response> {
-        if !self.trace || ctx.trace == 0 {
-            return self.call(request);
-        }
-        if self.binary
-            && frame::encode_request_traced(&mut self.wbuf, request, Some((ctx.trace, ctx.parent)))
-        {
-            self.writer.write_all(&self.wbuf)?;
-            self.writer.flush()?;
-            return self.recv();
-        }
-        let line = serde_json::to_string(request).map_err(|e| bad(e.to_string()))?;
-        writeln!(
-            self.writer,
-            "{{\"traced\":{{\"id\":{},\"parent\":{}}},\"request\":{line}}}",
-            ctx.trace, ctx.parent
-        )?;
-        self.writer.flush()?;
+        self.send(request, Some(ctx).filter(|c| self.trace && c.trace != 0))?;
         self.recv()
     }
 
-    /// Read one response, autodetecting its format from the first byte.
+    /// Write one request: a frame when binary was negotiated and the
+    /// request has a binary mapping, a JSON line otherwise; `ctx` rides
+    /// as the frame extension or the JSON `traced` envelope.
+    fn send(&mut self, request: &Request, ctx: Option<TraceContext>) -> std::io::Result<()> {
+        let wire_ctx = ctx.map(|c| (c.trace, c.parent));
+        if self.binary && frame::encode_request_traced(&mut self.wbuf, request, wire_ctx) {
+            self.writer.write_all(&self.wbuf)?;
+            return self.writer.flush();
+        }
+        let line = serde_json::to_string(request).map_err(|e| bad(e.to_string()))?;
+        match ctx {
+            Some(ctx) => writeln!(
+                self.writer,
+                "{{\"traced\":{{\"id\":{},\"parent\":{}}},\"request\":{line}}}",
+                ctx.trace, ctx.parent
+            )?,
+            None => writeln!(self.writer, "{line}")?,
+        }
+        self.writer.flush()
+    }
+
     fn recv(&mut self) -> std::io::Result<Response> {
-        let first = {
-            let buf = self.reader.fill_buf()?;
-            if buf.is_empty() {
-                return Err(Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "server closed connection",
-                ));
-            }
-            buf[0]
-        };
-        if first == frame::FRAME_MAGIC {
-            frame::read_frame(&mut self.reader, &mut self.rbuf)?;
-            let (opcode, payload) = frame::open_frame(&self.rbuf)?;
-            return frame::decode_response(opcode, payload);
-        }
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
-            return Err(Error::new(
-                ErrorKind::UnexpectedEof,
-                "server closed connection",
-            ));
-        }
-        serde_json::from_str(&reply).map_err(|e| bad(format!("bad response: {e}")))
+        read_response(&mut self.reader, &mut self.rbuf)
     }
 
     /// Resolve an identifier to its entry, if integrated.

@@ -236,11 +236,6 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Current offset from the start of the buffer.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
     fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(bad(format!(
@@ -473,8 +468,7 @@ pub fn read_record(r: &mut Reader<'_>) -> io::Result<Record> {
     })
 }
 
-/// Encode a single record body into a fresh buffer — the unit the WAL
-/// appends and the router's lane channel carries.
+/// Encode a single record body into a fresh buffer.
 pub fn encode_record_body(record: &Record) -> Vec<u8> {
     let mut buf = Vec::with_capacity(128);
     put_record(&mut buf, record);
@@ -688,15 +682,9 @@ pub fn read_opt_snapshot(r: &mut Reader<'_>) -> io::Result<Option<Snapshot>> {
 // ---------------------------------------------------------------------
 
 /// Start a frame: append the 8-byte header with a length placeholder
-/// and return the payload's start offset for [`end_frame`].
-pub fn begin_frame(buf: &mut Vec<u8>, opcode: u8) -> usize {
-    begin_frame_traced(buf, opcode, None)
-}
-
-/// Start a frame, optionally carrying a `(trace id, parent span id)`
-/// context: the header's flags byte gains [`FLAG_TRACE`] and the
-/// 16-byte extension opens the payload. With `None` this is
-/// byte-identical to [`begin_frame`].
+/// and return the payload's start offset for [`end_frame`]. With a
+/// `(trace id, parent span id)` context the header's flags byte gains
+/// [`FLAG_TRACE`] and the 16-byte extension opens the payload.
 pub fn begin_frame_traced(buf: &mut Vec<u8>, opcode: u8, trace: Option<(u64, u64)>) -> usize {
     let flags = if trace.is_some() { FLAG_TRACE } else { 0 };
     buf.extend_from_slice(&[FRAME_MAGIC, FRAME_VERSION, opcode, flags, 0, 0, 0, 0]);
@@ -848,36 +836,9 @@ pub fn encode_ingest_batch(buf: &mut Vec<u8>, records: &[Record]) {
     encode_frame_into(buf, OP_INGEST_BATCH, |b| put_records(b, records));
 }
 
-/// Encode an `ingest_batch` frame from pre-encoded record bodies —
-/// the router's zero-re-encode path: lane workers concatenate the
-/// bodies the route step already produced. Carries `trace` as the
-/// frame's context extension when the lane's batch span is traced.
-pub fn encode_ingest_batch_bodies(
-    buf: &mut Vec<u8>,
-    bodies: &[Vec<u8>],
-    trace: Option<(u64, u64)>,
-) {
-    encode_frame_traced_into(buf, OP_INGEST_BATCH, trace, |b| {
-        put_u32(b, len_u32(bodies.len()));
-        for body in bodies {
-            b.extend_from_slice(body);
-        }
-    });
-}
-
 /// Encode an `error` frame.
 pub fn encode_error(buf: &mut Vec<u8>, message: &str) {
     encode_frame_into(buf, OP_ERROR, |b| put_str(b, message));
-}
-
-/// Encode a `flush` request frame (empty payload).
-pub fn encode_flush(buf: &mut Vec<u8>) {
-    encode_frame_into(buf, OP_FLUSH, |_| {});
-}
-
-/// Encode a `sync` request frame.
-pub fn encode_sync(buf: &mut Vec<u8>, from: u64) {
-    encode_frame_into(buf, OP_SYNC, |b| put_u64(b, from));
 }
 
 /// The shared state-shipping body: `restore` requests and `sync_state`
@@ -900,18 +861,6 @@ pub fn read_state_body(r: &mut Reader<'_>) -> io::Result<(u64, Option<Snapshot>,
     let snapshot = read_opt_snapshot(r)?;
     let tail = read_records(r)?;
     Ok((position, snapshot, tail))
-}
-
-/// Encode a `restore` request frame.
-pub fn encode_restore(
-    buf: &mut Vec<u8>,
-    position: u64,
-    snapshot: Option<&Snapshot>,
-    tail: &[Record],
-) {
-    encode_frame_into(buf, OP_RESTORE, |b| {
-        put_state_body(b, position, snapshot, tail)
-    });
 }
 
 /// Encode the binary request frame for `request` into `buf` (cleared
@@ -950,6 +899,40 @@ pub fn encode_request_traced(
         }
     }
     true
+}
+
+/// Decode a request frame's payload into the [`Request`] it mirrors —
+/// the inverse of [`encode_request`], so a binary frame dispatches as
+/// the same value a JSON line or an HTTP route produces. Trailing bytes
+/// after the payload are rejected, as is any opcode without a request
+/// mapping.
+pub fn decode_request(opcode: u8, payload: &[u8]) -> io::Result<Request> {
+    let mut r = Reader::new(payload);
+    let request = match opcode {
+        OP_INGEST_BATCH => Request::IngestBatch {
+            records: read_records(&mut r)?,
+        },
+        OP_FLUSH => Request::Flush,
+        OP_SYNC => Request::Sync {
+            from: r.read_u64()?,
+        },
+        OP_RESTORE => {
+            let (position, snapshot, tail) = read_state_body(&mut r)?;
+            Request::Restore {
+                snapshot,
+                tail,
+                position,
+            }
+        }
+        other => return Err(bad(format!("unexpected request opcode {other:#04x}"))),
+    };
+    if r.remaining() != 0 {
+        return Err(bad(format!(
+            "{} trailing bytes after request payload",
+            r.remaining()
+        )));
+    }
+    Ok(request)
 }
 
 /// Encode the binary reply frame for `response` into `buf` (cleared
@@ -1126,17 +1109,6 @@ mod tests {
         assert!(frame_len(&batch).unwrap().is_some());
         let oversized_batch = header(OP_INGEST_BATCH, (MAX_BATCH_PAYLOAD + 1) as u32);
         assert!(frame_len(&oversized_batch).is_err());
-    }
-
-    #[test]
-    fn bodies_path_equals_records_path() {
-        let records = vec![sample_record(), sample_record()];
-        let mut direct = Vec::new();
-        encode_ingest_batch(&mut direct, &records);
-        let bodies: Vec<Vec<u8>> = records.iter().map(encode_record_body).collect();
-        let mut concat = Vec::new();
-        encode_ingest_batch_bodies(&mut concat, &bodies, None);
-        assert_eq!(direct, concat, "pre-encoded bodies produce the same frame");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The HTTP/1.1 adapter: the same dispatch layer the JSON-lines
-//! protocol runs on, reachable by `curl`, load balancers, and ordinary
-//! HTTP tooling.
+//! The HTTP/1.1 adapter: the same request core the JSON-lines and
+//! binary wires run on ([`crate::request`]), reachable by `curl`, load
+//! balancers, and ordinary HTTP tooling.
 //!
 //! The mapping is deliberately thin: every success body **is** the
 //! JSON-lines response object for the equivalent wire command
@@ -51,7 +51,8 @@
 //! **Request tracing.** The gateway is the trace entry hop: when the
 //! service's sampling policy picks a request (or the client sends an
 //! `X-Bdi-Trace: <16-hex-trace-id>[-<16-hex-parent-span>]` header), the
-//! whole dispatch runs under an `http.request` root span and the
+//! whole request runs under an `http.request` root span — the tier's
+//! own `serve.request` / `route.request` span is its child — and the
 //! response carries `X-Bdi-Trace: <trace-id>` so the caller can fetch
 //! the assembled tree from `GET /trace/:id`.
 
@@ -95,6 +96,21 @@ pub(crate) struct HttpResponse {
     /// Trace id to advertise in an `X-Bdi-Trace` response header (set
     /// when the request ran under a trace).
     pub trace: Option<u64>,
+}
+
+impl HttpResponse {
+    /// A keep-alive response with a body; the caller adjusts `close`,
+    /// `head` and `trace` where they apply.
+    fn new(status: u16, content_type: &'static str, body: Vec<u8>) -> Self {
+        Self {
+            status,
+            content_type,
+            body,
+            close: false,
+            head: false,
+            trace: None,
+        }
+    }
 }
 
 const JSON: &str = "application/json";
@@ -153,14 +169,7 @@ fn error_body(message: &str) -> Vec<u8> {
 }
 
 fn error_response(status: u16, message: &str) -> HttpResponse {
-    HttpResponse {
-        status,
-        content_type: JSON,
-        body: error_body(message),
-        close: false,
-        head: false,
-        trace: None,
-    }
+    HttpResponse::new(status, JSON, error_body(message))
 }
 
 /// A protocol-fatal error: answered, then the connection closes.
@@ -287,16 +296,8 @@ fn num_param(query: &str, key: &str) -> Result<Option<f64>, String> {
 
 /// A success response: status 200, body = the wire response object.
 fn ok(response: &Response) -> HttpResponse {
-    HttpResponse {
-        status: 200,
-        content_type: JSON,
-        body: serde_json::to_string(response)
-            .expect("responses serialize")
-            .into_bytes(),
-        close: false,
-        head: false,
-        trace: None,
-    }
+    let body = serde_json::to_string(response).expect("responses serialize");
+    HttpResponse::new(200, JSON, body.into_bytes())
 }
 
 /// Dispatch-backed responses flow through here so every adapter (server
@@ -328,21 +329,19 @@ pub(crate) fn parse_trace_header(value: &str) -> Option<TraceContext> {
     Some(TraceContext { trace, parent })
 }
 
-/// Route one HTTP request through `dispatch` (the same function the
-/// JSON-lines protocol calls) and record `<prefix>.http.*` metrics.
+/// Route one HTTP request through `dispatch` — the request envelope
+/// every wire shares ([`crate::request::execute`]) — and record
+/// `<prefix>.http.*` metrics.
 ///
 /// The gateway is the trace entry hop: an inbound `X-Bdi-Trace` header
 /// always traces (the caller already decided); otherwise `tracer`'s
 /// sampling policy decides. Traced requests run under an
-/// `http.request` root span — with a synthetic `queue.wait` child when
-/// the front-end queued the request for `queued_ns` before a worker
-/// picked it up — and the dispatch closure receives the child context
-/// to propagate.
+/// `http.request` root span, and the dispatch closure receives the
+/// child context the tier's own request span parents under.
 pub(crate) fn respond(
     req: &HttpRequest,
     metrics: &HttpMetrics,
     tracer: &Tracer,
-    queued_ns: u64,
     dispatch: impl FnOnce(Request, Option<TraceContext>) -> Response,
 ) -> HttpResponse {
     let t0 = Instant::now();
@@ -351,14 +350,6 @@ pub(crate) fn respond(
         None => tracer.root("http.request").map(|r| r.span),
     };
     let trace_id = root.as_ref().map(|s| s.trace_id());
-    if let Some(span) = &root {
-        if queued_ns > 0 {
-            // the wait precedes the root span: it ends where the span
-            // starts
-            let start = span.start_ns().saturating_sub(queued_ns);
-            tracer.record(span.ctx(), "queue.wait", start, span.start_ns(), &[]);
-        }
-    }
     let mut scope = bdi_obs::TraceScope::wrap(tracer, root);
     let ctx = scope.ctx();
     // HEAD is GET with the body suppressed on the wire: same status,
@@ -491,14 +482,9 @@ fn route(
         ("GET", "metrics", None) => {
             let resp = match dispatch(Request::Metrics) {
                 Response::Metrics(body) => match body.to_snapshot() {
-                    Some(snap) => HttpResponse {
-                        status: 200,
-                        content_type: PROMETHEUS,
-                        body: snap.to_prometheus().into_bytes(),
-                        close: false,
-                        head: false,
-                        trace: None,
-                    },
+                    Some(snap) => {
+                        HttpResponse::new(200, PROMETHEUS, snap.to_prometheus().into_bytes())
+                    }
                     None => error_response(500, "internal error: malformed metrics body"),
                 },
                 other => from_dispatch(other),
@@ -533,16 +519,8 @@ fn route(
                 ),
                 Response::Trace(body) => {
                     let tree = TraceTree::from_spans(trace_id, body.spans);
-                    HttpResponse {
-                        status: 200,
-                        content_type: JSON,
-                        body: serde_json::to_string(&tree)
-                            .expect("trace trees serialize")
-                            .into_bytes(),
-                        close: false,
-                        head: false,
-                        trace: None,
-                    }
+                    let body = serde_json::to_string(&tree).expect("trace trees serialize");
+                    HttpResponse::new(200, JSON, body.into_bytes())
                 }
                 other => from_dispatch(other),
             };
@@ -589,14 +567,7 @@ fn index() -> HttpResponse {
         "\"POST /shutdown\":\"shutdown\"",
         "}}"
     );
-    HttpResponse {
-        status: 200,
-        content_type: JSON,
-        body: body.as_bytes().to_vec(),
-        close: false,
-        head: false,
-        trace: None,
-    }
+    HttpResponse::new(200, JSON, body.as_bytes().to_vec())
 }
 
 #[cfg(test)]
@@ -727,14 +698,7 @@ mod tests {
 
     #[test]
     fn encode_frames_with_content_length() {
-        let text = encode(&HttpResponse {
-            status: 200,
-            content_type: JSON,
-            body: b"{\"ok\":1}".to_vec(),
-            close: false,
-            head: false,
-            trace: None,
-        });
+        let text = encode(&HttpResponse::new(200, JSON, b"{\"ok\":1}".to_vec()));
         let text = String::from_utf8(text).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 8\r\n"));
@@ -753,7 +717,7 @@ mod tests {
             close: false,
             trace: None,
         };
-        let resp = respond(&req, &metrics, &Tracer::new(), 0, |_, _| Response::Entry {
+        let resp = respond(&req, &metrics, &Tracer::new(), |_, _| Response::Entry {
             generation: 1,
             entry: None,
         });
@@ -779,7 +743,7 @@ mod tests {
             close: false,
             trace: None,
         };
-        let resp = respond(&req, &metrics, &Tracer::new(), 0, |_, _| {
+        let resp = respond(&req, &metrics, &Tracer::new(), |_, _| {
             unreachable!("never dispatched")
         });
         assert_eq!(resp.status, 405);

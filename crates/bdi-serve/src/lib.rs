@@ -16,7 +16,10 @@
 //!   batch and never block the writer.
 //! * **Wire protocol** — JSON lines over TCP ([`protocol`]): one request
 //!   object per line, one response object per line. `nc` is a usable
-//!   client. The full reference lives in `docs/PROTOCOL.md`.
+//!   client. The same commands are reachable as binary frames
+//!   ([`frame`]) and over HTTP/1.1; every wire decodes to one
+//!   [`Request`] and runs through one request core, so the three can
+//!   never diverge. The full reference lives in `docs/PROTOCOL.md`.
 //! * **Durability** (optional, [`server::DurabilityConfig`]) — every
 //!   record is appended to a write-ahead log ([`wal`]) before it is
 //!   applied, fsync'd in batches; periodic on-disk checkpoints
@@ -57,6 +60,7 @@ pub(crate) mod mmap;
 pub(crate) mod nio;
 pub mod protocol;
 pub mod replica;
+pub(crate) mod request;
 pub mod router;
 pub mod server;
 pub mod snapshot;
@@ -73,6 +77,6 @@ pub use protocol::{
     MetricsBody, Request, Response, StatsBody, TraceBody, TraceTree, TraceTreeNode,
 };
 pub use router::{Router, RouterConfig};
-pub use server::{DurabilityConfig, FrontEndKind, Server, ServerConfig};
+pub use server::{DurabilityConfig, Server, ServerConfig};
 pub use snapshot::Snapshot;
 pub use wal::Wal;

@@ -5,8 +5,8 @@
 //! feeds every record of a [`bdi_synth::World`] through the ingest
 //! queue; `readers` connections spin on `lookup` of identifiers drawn
 //! from the world's catalog the whole time. The report gives ingest
-//! throughput and read latency percentiles — the numbers the
-//! `serve_throughput` bench prints across reader counts.
+//! throughput and read latency percentiles. (For performance *claims*
+//! use `livebench/`, the repository's declared benchmark.)
 
 use crate::client::{Client, HttpClient};
 use crate::protocol::{Request, Response};
@@ -39,14 +39,15 @@ pub struct LoadConfig {
     /// router tier at full rate.
     pub batch: usize,
     /// Drive the server over HTTP/1.1 (`GET /lookup/:id`,
-    /// `POST /ingest`) instead of JSON lines. Same port: the readiness
-    /// front-end autodetects the protocol from the first bytes of each
+    /// `POST /ingest`) instead of JSON lines. Same port: the front-end
+    /// autodetects the protocol from the first bytes of each
     /// connection.
     pub http: bool,
     /// Negotiate binary frames for the ingest stream (`hello` feature
-    /// `binary-frames`). Opportunistic: a JSON-only server simply keeps
-    /// the run on JSON lines — check [`LoadReport::wire_binary`] for
-    /// what actually happened. Ignored when `http` is set.
+    /// `binary-frames`). Opportunistic: a peer that does not advertise
+    /// the feature simply keeps the run on JSON lines — check
+    /// [`LoadReport::wire_binary`] for what actually happened. Ignored
+    /// when `http` is set.
     pub binary: bool,
     /// Mint a fresh client-side trace id for every Nth ingest request
     /// (0 = none), propagated as trace context (wire envelope / frame
@@ -72,8 +73,8 @@ impl Default for LoadConfig {
 }
 
 /// One load connection, speaking whichever protocol the run selected.
-/// Both arms hit the same handlers server-side, so the measured work is
-/// identical — only the framing differs.
+/// Both arms hit the same request core server-side, so the measured
+/// work is identical — only the framing differs.
 enum Driver {
     Wire(Client),
     Http(HttpClient),
@@ -573,29 +574,5 @@ mod tests {
             run(false),
             "binary wire changed the resulting engine state"
         );
-    }
-
-    #[test]
-    fn binary_request_falls_back_on_json_only_server() {
-        let server = Server::start(ServerConfig {
-            binary_wire: false,
-            ..Default::default()
-        })
-        .unwrap();
-        let cfg = LoadConfig {
-            entities: 20,
-            sources: 4,
-            readers: 0,
-            batch: 8,
-            binary: true,
-            ..Default::default()
-        };
-        let report = run_load(server.addr(), &cfg).unwrap();
-        assert!(
-            !report.wire_binary,
-            "--no-binary server keeps the run on JSON"
-        );
-        assert!(report.generation >= 1);
-        server.shutdown();
     }
 }

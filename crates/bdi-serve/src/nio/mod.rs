@@ -1,27 +1,29 @@
 //! The readiness-loop front-end: one event-loop thread multiplexing
 //! every connection over raw `epoll` ([`sys`]), plus a small worker
-//! pool executing dispatch.
+//! pool executing requests.
 //!
-//! The thread-per-connection front-end capped concurrent clients at
-//! thread count; this one holds tens of thousands of mostly-idle
-//! connections per node. The division of labor:
+//! Tens of thousands of mostly-idle connections cost buffers here, not
+//! threads. The division of labor:
 //!
 //! * **The loop thread** owns every socket. It accepts (nonblocking
 //!   listeners), reads into per-connection buffers, frames requests
-//!   incrementally (JSON lines *or* HTTP/1.1 — the protocol is sniffed
-//!   from a connection's first bytes, so one listener serves both),
-//!   and writes responses, arming `EPOLLOUT` only while a connection
-//!   has backlog. It never parses JSON and never touches the engine,
-//!   so slow engine work (a flush barrier, ingest backpressure, a
-//!   scatter-gather fan-out) can never stall accept/read/write
-//!   progress.
-//! * **Workers** execute [`Service`] dispatch. Frames queue per
-//!   connection ([`ConnCell`]), and at most one worker services a
-//!   given connection at a time — requests on one connection are
-//!   processed strictly in order and responses never interleave,
-//!   exactly the guarantee the threaded front-end gave (and what makes
-//!   HTTP pipelining answer in request order). Workers may block; the
-//!   pool size bounds how many blocking commands run at once.
+//!   incrementally (JSON lines and binary frames, *or* HTTP/1.1 — the
+//!   protocol is sniffed from a connection's first bytes, so one
+//!   listener serves all three), and writes responses, arming
+//!   `EPOLLOUT` only while a connection has backlog. It never parses
+//!   JSON and never touches the engine, so slow engine work (a flush
+//!   barrier, ingest backpressure, a scatter-gather fan-out) can never
+//!   stall accept/read/write progress.
+//! * **Workers** run each framed request through the request core
+//!   ([`crate::request`]): the wire's codec adapter decodes it, the
+//!   envelope executes it against the tier's [`Service::dispatch`],
+//!   and the adapter encodes the reply. Frames queue per connection
+//!   ([`ConnCell`]), and at most one worker services a given
+//!   connection at a time — requests on one connection are processed
+//!   strictly in order and responses never interleave (which is what
+//!   makes HTTP pipelining answer in request order). Workers may
+//!   block; the pool size bounds how many blocking commands run at
+//!   once.
 //! * Finished responses flow back through a completion list and a
 //!   waker (a socketpair byte), and the loop pushes the bytes out.
 //!
@@ -36,7 +38,9 @@ pub use sys::raise_nofile_limit;
 
 use crate::frame;
 use crate::http::{self, HttpRequest, HttpResponse};
-use bdi_obs::{Counter, Gauge, Registry};
+use crate::protocol::{Request, Response};
+use crate::request::{self, RequestCore};
+use bdi_obs::{Counter, Gauge, Registry, TraceContext};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -84,17 +88,10 @@ pub(crate) struct RequestMeta {
     pub queued_ns: u64,
 }
 
-impl RequestMeta {
-    /// Meta for the thread-per-connection front-end: a known peer, no
-    /// queueing (dispatch runs inline on the connection's thread).
-    pub fn direct(peer: Option<SocketAddr>) -> Self {
-        Self { peer, queued_ns: 0 }
-    }
-}
-
-/// What a front-end serves: per-connection state plus the two protocol
-/// entry points. Implemented by the backend ([`crate::server`]) and
-/// the router ([`crate::router`]); both run the same loop.
+/// What a front-end serves: per-connection state plus the one thing a
+/// tier implements — executing a [`Request`]. Implemented by the
+/// backend ([`crate::server`]) and the router ([`crate::router`]); both
+/// run the same loop, the same codec adapters and the same envelope.
 pub(crate) trait Service: Send + Sync + 'static {
     /// Per-connection dispatch state (the router's lazy backend
     /// connections; `()` for a backend). Only one worker touches a
@@ -103,34 +100,20 @@ pub(crate) trait Service: Send + Sync + 'static {
 
     fn new_conn(&self) -> Self::Conn;
 
-    /// Handle one JSON-lines request: the response line (no trailing
-    /// newline) and whether to close the connection after writing it.
-    fn handle_line(&self, conn: &mut Self::Conn, line: &str, meta: &RequestMeta) -> (String, bool);
+    /// The tier's request core: its flight recorder, request-span
+    /// name, per-command metrics and slow-request log.
+    fn core(&self) -> &RequestCore;
 
-    /// Handle one complete binary frame (`[frame::FRAME_MAGIC]`-led,
-    /// CRC-validated length on the framing side; the payload CRC is
-    /// checked here via [`frame::open_frame`]). Returns the encoded
-    /// response frame and whether to close. The default rejects the
-    /// format — a service opts in by overriding.
-    fn handle_frame(
+    /// Execute one request. `ctx` is the request span's context when
+    /// the request is traced — the parent for whatever spans the work
+    /// records. Called inside the envelope ([`request::execute`]), so
+    /// a panic here answers this one request with an error.
+    fn dispatch(
         &self,
         conn: &mut Self::Conn,
-        raw: &[u8],
-        meta: &RequestMeta,
-    ) -> (Vec<u8>, bool) {
-        let _ = (conn, raw, meta);
-        let mut out = Vec::new();
-        frame::encode_error(&mut out, "binary frames not supported on this endpoint");
-        (out, true)
-    }
-
-    /// Handle one decoded HTTP request.
-    fn handle_http(
-        &self,
-        conn: &mut Self::Conn,
-        req: HttpRequest,
-        meta: &RequestMeta,
-    ) -> HttpResponse;
+        request: Request,
+        ctx: Option<TraceContext>,
+    ) -> Response;
 
     /// The service's shutdown flag: the loop stops accepting and
     /// drains once this reads true.
@@ -314,22 +297,18 @@ impl HttpDecoder {
                 trace: pending.trace,
             });
         }
-        // hunt for the blank line ending the head
-        let Some(head_end) = find_head_end(buf) else {
-            if buf.len() > MAX_HTTP_HEAD {
-                return Advance::Fatal(http::fatal(
-                    431,
-                    &format!("request head exceeds {MAX_HTTP_HEAD} bytes"),
-                ));
-            }
-            return Advance::NeedMore;
-        };
-        if head_end > MAX_HTTP_HEAD {
+        // hunt for the blank line ending the head; a head (complete or
+        // still arriving) past the cap is fatal either way
+        let head_end = find_head_end(buf);
+        if head_end.unwrap_or(buf.len()) > MAX_HTTP_HEAD {
             return Advance::Fatal(http::fatal(
                 431,
                 &format!("request head exceeds {MAX_HTTP_HEAD} bytes"),
             ));
         }
+        let Some(head_end) = head_end else {
+            return Advance::NeedMore;
+        };
         let head: Vec<u8> = buf.drain(..head_end).collect();
         let head = String::from_utf8_lossy(&head).into_owned();
         let mut lines = head.split('\n').map(|l| l.trim_end_matches('\r'));
@@ -917,10 +896,10 @@ fn parse_frames<C>(conn: &mut Conn<C>) -> Vec<Frame> {
     frames
 }
 
-/// A pool worker: claim a connection, drain its frame queue in order,
-/// hand the response bytes back, repeat. Dispatch may block (flush
-/// barriers, ingest backpressure) — that is the point of running it
-/// here and not on the loop.
+/// A pool worker: claim a connection, drain its frame queue in order
+/// through the request core, hand the response bytes back, repeat.
+/// Dispatch may block (flush barriers, ingest backpressure) — that is
+/// the point of running it here and not on the loop.
 fn worker_loop<S: Service>(
     service: Arc<S>,
     rx: Receiver<Arc<ConnCell<S::Conn>>>,
@@ -958,35 +937,30 @@ fn worker_loop<S: Service>(
             let mut done = false;
             for (frame, framed_at) in frames {
                 if done {
-                    break; // a close drops the rest, as the threaded
-                           // front-end did by not reading past `bye`
+                    break; // a close drops the rest, as a client that
+                           // stops reading past `bye` expects
                 }
                 let meta = RequestMeta {
                     peer: cell.peer,
                     queued_ns: framed_at.elapsed().as_nanos() as u64,
                 };
-                match frame {
+                done = match frame {
                     Frame::Line(line) => {
-                        let (resp, close) = service.handle_line(&mut state, &line, &meta);
-                        out.extend_from_slice(resp.as_bytes());
-                        out.push(b'\n');
-                        done = close;
+                        request::serve_line(&*service, &mut state, &line, &meta, &mut out)
                     }
                     Frame::Binary(raw) => {
-                        let (resp, close) = service.handle_frame(&mut state, &raw, &meta);
-                        out.extend_from_slice(&resp);
-                        done = close;
+                        request::serve_frame(&*service, &mut state, &raw, &meta, &mut out)
                     }
                     Frame::Http(req) => {
-                        let resp = service.handle_http(&mut state, req, &meta);
-                        done = resp.close;
+                        let resp = request::serve_http(&*service, &mut state, &req, &meta);
                         out.extend_from_slice(&http::encode(&resp));
+                        resp.close
                     }
                     Frame::Raw { bytes, close } => {
                         out.extend_from_slice(&bytes);
-                        done = close;
+                        close
                     }
-                }
+                };
             }
             {
                 let mut g = cell.shared.lock();

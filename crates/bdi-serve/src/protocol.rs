@@ -170,14 +170,6 @@ impl TraceWire {
             parent: self.parent,
         }
     }
-
-    /// Build from a `bdi-obs` context.
-    pub fn from_ctx(ctx: bdi_obs::TraceContext) -> Self {
-        TraceWire {
-            id: ctx.trace,
-            parent: ctx.parent,
-        }
-    }
 }
 
 /// A server response.
@@ -369,22 +361,6 @@ impl TraceTree {
             id,
             roots: roots.into_iter().map(|r| build(r, &mut children)).collect(),
         }
-    }
-
-    /// Every span name in the tree, depth-first — what smoke checks
-    /// assert against.
-    pub fn span_names(&self) -> Vec<String> {
-        fn walk(node: &TraceTreeNode, out: &mut Vec<String>) {
-            out.push(node.span.name.clone());
-            for c in &node.children {
-                walk(c, out);
-            }
-        }
-        let mut out = Vec::new();
-        for r in &self.roots {
-            walk(r, &mut out);
-        }
-        out
     }
 }
 

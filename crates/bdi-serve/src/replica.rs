@@ -39,7 +39,7 @@ use bdi_types::Record;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -112,9 +112,9 @@ impl LaneConn {
                         "{addr} lacks required feature '{missing}'"
                     )));
                 }
-                // opportunistic, never required: a JSON-only peer just
-                // keeps this lane on the JSON path (mixed-format fleet),
-                // and a trace-blind peer gets plain requests
+                // opportunistic, never required: a peer that does not
+                // list `binary-frames` keeps this lane on the JSON
+                // path, and a trace-blind peer gets plain requests
                 conn.binary = features.iter().any(|f| f == FEATURE_BINARY);
                 conn.trace = features.iter().any(|f| f == FEATURE_TRACE);
                 Ok(conn)
@@ -133,7 +133,22 @@ impl LaneConn {
     }
 
     pub(crate) fn send(&mut self, request: &Request) -> std::io::Result<()> {
-        if self.binary && frame::encode_request(&mut self.wbuf, request) {
+        self.send_traced(request, None)
+    }
+
+    /// Send one request, carrying `ctx` when the peer negotiated
+    /// `trace-context` — as the binary frame extension, or the JSON
+    /// `traced` envelope on the JSON path. Without the feature (or
+    /// without a context) the request goes out plain, byte-for-byte
+    /// what an untraced sender produces.
+    pub(crate) fn send_traced(
+        &mut self,
+        request: &Request,
+        ctx: Option<TraceContext>,
+    ) -> std::io::Result<()> {
+        let ctx = ctx.filter(|_| self.trace);
+        let wire_ctx = ctx.map(|c| (c.trace, c.parent));
+        if self.binary && frame::encode_request_traced(&mut self.wbuf, request, wire_ctx) {
             self.writer.write_all(&self.wbuf)?;
             return self.writer.flush();
         }
@@ -141,72 +156,23 @@ impl LaneConn {
         // String per batch
         serde_json::to_string_into(request, &mut self.line)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        self.line.push('\n');
-        self.writer.write_all(self.line.as_bytes())?;
-        self.writer.flush()
-    }
-
-    /// [`LaneConn::send`] carrying a trace context when the peer
-    /// negotiated `trace-context` — as the binary frame extension, or
-    /// the JSON `trace` envelope on the JSON path. Without the feature
-    /// (or without a context) the request goes out plain, byte-for-byte
-    /// what an untraced sender produces.
-    pub(crate) fn send_traced(
-        &mut self,
-        request: &Request,
-        ctx: Option<TraceContext>,
-    ) -> std::io::Result<()> {
-        let Some(ctx) = ctx.filter(|_| self.trace) else {
-            return self.send(request);
-        };
-        if self.binary
-            && frame::encode_request_traced(&mut self.wbuf, request, Some((ctx.trace, ctx.parent)))
-        {
-            self.writer.write_all(&self.wbuf)?;
-            return self.writer.flush();
+        if let Some(ctx) = ctx {
+            self.line.insert_str(
+                0,
+                &format!(
+                    "{{\"traced\":{{\"id\":{},\"parent\":{}}},\"request\":",
+                    ctx.trace, ctx.parent
+                ),
+            );
+            self.line.push('}');
         }
-        serde_json::to_string_into(request, &mut self.line)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        self.line.insert_str(
-            0,
-            &format!(
-                "{{\"traced\":{{\"id\":{},\"parent\":{}}},\"request\":",
-                ctx.trace, ctx.parent
-            ),
-        );
-        self.line.push('}');
         self.line.push('\n');
         self.writer.write_all(self.line.as_bytes())?;
         self.writer.flush()
     }
 
     pub(crate) fn recv(&mut self) -> std::io::Result<Response> {
-        // replies are format-autodetected per message, exactly like the
-        // server's receive side: a frame-magic first byte means binary
-        let first = {
-            let buf = self.reader.fill_buf()?;
-            if buf.is_empty() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "backend closed connection",
-                ));
-            }
-            buf[0]
-        };
-        if first == frame::FRAME_MAGIC {
-            frame::read_frame(&mut self.reader, &mut self.rbuf)?;
-            let (opcode, payload) = frame::open_frame(&self.rbuf)?;
-            return frame::decode_response(opcode, payload);
-        }
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "backend closed connection",
-            ));
-        }
-        serde_json::from_str(&reply)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        crate::client::read_response(&mut self.reader, &mut self.rbuf)
     }
 
     /// Read one response that must be an ingest ack.
@@ -369,7 +335,7 @@ fn lane_worker(lane_ref: Weak<ReplicaLane>, shared: Arc<RouterShared>, rx: Recei
         // pack a batch; a traced item gets its queue wait recorded, and
         // the first traced context parents this batch's `lane.batch`
         // span (the send→ack round trip the backend's spans nest under)
-        let tracer = &shared.tracer;
+        let tracer = &shared.core.tracer;
         let mut batch_ctx: Option<TraceContext> = None;
         let mut note = |item: LaneItem, records: &mut Vec<Record>| {
             let (record, trace) = item;
@@ -389,7 +355,7 @@ fn lane_worker(lane_ref: Weak<ReplicaLane>, shared: Arc<RouterShared>, rx: Recei
         }
         let n = records.len() as u64;
         shared.metrics.backend_batch_records.record(n);
-        let mut span = shared.tracer.begin(batch_ctx, "lane.batch");
+        let mut span = shared.core.tracer.begin(batch_ctx, "lane.batch");
         if let Some(s) = &mut span {
             s.attr("shard", lane.shard as u64);
             s.attr("replica", lane.replica as u64);
@@ -402,7 +368,7 @@ fn lane_worker(lane_ref: Weak<ReplicaLane>, shared: Arc<RouterShared>, rx: Recei
             Ok(()) => outstanding.push_back((n, span)),
             Err(e) => {
                 if let Some(s) = span {
-                    shared.tracer.finish(s);
+                    shared.core.tracer.finish(s);
                 }
                 fail_lane(&shared, &lane, &mut outstanding, n, &e.to_string());
                 conn = None;
@@ -418,7 +384,7 @@ fn lane_worker(lane_ref: Weak<ReplicaLane>, shared: Arc<RouterShared>, rx: Recei
                 Ok(()) => {
                     let (n, span) = outstanding.pop_front().expect("one ack per batch");
                     if let Some(s) = span {
-                        shared.tracer.finish(s);
+                        shared.core.tracer.finish(s);
                     }
                     lane.settled.fetch_add(n, Ordering::SeqCst);
                 }
@@ -438,7 +404,7 @@ fn lane_worker(lane_ref: Weak<ReplicaLane>, shared: Arc<RouterShared>, rx: Recei
                 Ok(()) => {
                     let (n, span) = outstanding.pop_front().expect("one ack per batch");
                     if let Some(s) = span {
-                        shared.tracer.finish(s);
+                        shared.core.tracer.finish(s);
                     }
                     lane.settled.fetch_add(n, Ordering::SeqCst);
                 }
@@ -483,7 +449,7 @@ fn fail_lane(
     for (n, span) in outstanding.drain(..) {
         lost += n;
         if let Some(s) = span {
-            shared.tracer.finish(s);
+            shared.core.tracer.finish(s);
         }
     }
     if lost > 0 {

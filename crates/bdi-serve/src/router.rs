@@ -45,13 +45,12 @@
 //! [`RegistrySnapshot`]: bdi_obs::RegistrySnapshot
 
 use crate::bridge::{mask_shards, merge_entries, merge_stats, BridgeIndex, ShardMask, MAX_SHARDS};
-use crate::frame;
-use crate::http::{self, HttpMetrics};
 use crate::nio;
 use crate::protocol::{
-    MetricsBody, Request, Response, SpanBody, StatsBody, TraceBody, TracedRequest, PROTOCOL_VERSION,
+    MetricsBody, Request, Response, SpanBody, StatsBody, TraceBody, PROTOCOL_VERSION,
 };
 use crate::replica::{spawn_lane, LaneConn, ReplicaLane, ShardState};
+use crate::request::RequestCore;
 use bdi_core::catalog::CatalogEntry;
 use bdi_linkage::blocking::normalize_identifier;
 use bdi_linkage::fingerprint::RecordFingerprint;
@@ -60,7 +59,6 @@ use bdi_types::Record;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BinaryHeap, HashMap};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -85,8 +83,9 @@ pub struct RouterConfig {
     pub addr: String,
     /// Additional dedicated HTTP listener (served by the same loop).
     pub http_addr: Option<String>,
-    /// Dispatch worker threads (0 = a small default). Bounds how many
-    /// blocking fleet operations (flush barriers, splits) run at once.
+    /// Dispatch worker threads (0 resolves to one worker). Bounds how
+    /// many blocking fleet operations (flush barriers, splits) run at
+    /// once.
     pub workers: usize,
     /// Backend `bdi serve` addresses. With `replicas == R`, consecutive
     /// groups of R addresses form one shard: `backends[s*R..(s+1)*R]`
@@ -147,10 +146,6 @@ pub(crate) struct RouteMetrics {
     pub(crate) replicated: Counter,
     /// Record copies skipped because the target lane was down.
     pub(crate) replicas_dropped: Counter,
-    /// Unparseable requests plus error responses.
-    pub(crate) request_errors: Counter,
-    /// HTTP-adapter counters and per-endpoint latency (`route.http.*`).
-    pub(crate) http: HttpMetrics,
     /// Backend connect attempts retried after a transient failure.
     pub(crate) retries: Counter,
     /// Reads re-sent to another replica after an I/O error.
@@ -177,8 +172,6 @@ impl RouteMetrics {
             submitted: registry.counter("route.ingest.submitted"),
             replicated: registry.counter("route.ingest.replicated"),
             replicas_dropped: registry.counter("route.ingest.replicas_dropped"),
-            request_errors: registry.counter("route.request.errors"),
-            http: HttpMetrics::register(&registry, "route"),
             retries: registry.counter("route.backend.retries"),
             read_failovers: registry.counter("route.read.failovers"),
             split_moved: registry.counter("route.split.moved_records"),
@@ -201,9 +194,10 @@ pub(crate) struct RouterShared {
     pub(crate) shards: RwLock<Vec<Arc<ShardState>>>,
     pub(crate) bridge: Mutex<BridgeIndex>,
     pub(crate) metrics: RouteMetrics,
-    /// The router's flight recorder (lane workers and the read scatter
-    /// record into it; `trace` merges it with the backends' rings).
-    pub(crate) tracer: Tracer,
+    /// The request core. Its flight recorder is the router's: lane
+    /// workers and the read scatter record into it too, and `trace`
+    /// merges it with the backends' rings.
+    pub(crate) core: RequestCore,
     pub(crate) shutdown: AtomicBool,
     /// Records per backend `ingest_batch`.
     pub(crate) batch: usize,
@@ -292,11 +286,12 @@ impl Router {
 
         let tracer = Tracer::new();
         tracer.configure(cfg.trace_sample, false);
+        let registry = Registry::new();
         let shared = Arc::new(RouterShared {
             shards: RwLock::new(Vec::new()),
             bridge: Mutex::new(BridgeIndex::for_threshold(shard_count, cfg.threshold)),
-            metrics: RouteMetrics::new(Registry::new()),
-            tracer,
+            core: RequestCore::new(&registry, tracer, "route", "route.request", None),
+            metrics: RouteMetrics::new(registry.clone()),
             shutdown: AtomicBool::new(false),
             batch: cfg.batch.max(1),
             depth: cfg.pipeline.max(1),
@@ -332,7 +327,6 @@ impl Router {
             shared: Arc::clone(&shared),
             addr,
         });
-        let registry = shared.metrics.registry.clone();
         let accept = nio::spawn_front_end(listeners, service, &registry, "route", cfg.workers)?;
         Ok(Router {
             addr,
@@ -382,10 +376,9 @@ impl Router {
 }
 
 /// The router as a [`nio::Service`]. Per-connection state is the lazy
-/// scatter-gather backend connections ([`QueryConns`]) the old
-/// handler-thread owned — the front-end hands it to whichever worker
-/// services the connection, one at a time, so the ownership story is
-/// unchanged.
+/// scatter-gather backend connections ([`QueryConns`]) — the front-end
+/// hands it to whichever worker services the connection, one at a
+/// time.
 struct RouteService {
     shared: Arc<RouterShared>,
     addr: SocketAddr,
@@ -399,231 +392,151 @@ impl nio::Service for RouteService {
         QueryConns::new()
     }
 
-    fn handle_line(
-        &self,
-        conns: &mut QueryConns,
-        line: &str,
-        meta: &nio::RequestMeta,
-    ) -> (String, bool) {
-        handle_line(line, &self.shared, conns, self.addr, meta)
+    fn core(&self) -> &RequestCore {
+        &self.shared.core
     }
 
-    fn handle_frame(
+    /// Execute one request against the fleet — the only function in
+    /// this tier that matches on [`Request`] variants, whichever wire
+    /// the request arrived on.
+    fn dispatch(
         &self,
         conns: &mut QueryConns,
-        raw: &[u8],
-        meta: &nio::RequestMeta,
-    ) -> (Vec<u8>, bool) {
-        handle_frame(raw, &self.shared, conns, meta)
-    }
-
-    fn handle_http(
-        &self,
-        conns: &mut QueryConns,
-        req: http::HttpRequest,
-        meta: &nio::RequestMeta,
-    ) -> http::HttpResponse {
-        http::respond(
-            &req,
-            &self.shared.metrics.http,
-            &self.shared.tracer,
-            meta.queued_ns,
-            |request, ctx| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    dispatch(request, &self.shared, conns, self.addr, ctx)
-                }))
-                .unwrap_or_else(|_| Response::Error {
-                    message: "internal error: request handler panicked".to_string(),
-                })
+        request: Request,
+        ctx: Option<TraceContext>,
+    ) -> Response {
+        let shared = &self.shared;
+        conns.trace_ctx = ctx;
+        match request {
+            Request::Lookup { identifier } => lookup(shared, conns, &identifier),
+            Request::Filter { limit, .. } => match gather_entries(shared, conns, &request) {
+                Ok((generation, gathered)) => {
+                    let mut entries = merge_entries(gathered);
+                    entries.truncate(limit.unwrap_or(100));
+                    Response::Entries {
+                        generation,
+                        entries,
+                    }
+                }
+                Err(e) => err(e),
             },
-        )
+            Request::TopK { attribute, k } => top_k(shared, conns, &attribute, k),
+            Request::Ingest { record } => {
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    return err("shutting down".to_string());
+                }
+                match route_one(shared, record, ctx) {
+                    Ok(submitted) => Response::Ack { submitted },
+                    Err(e) => err(e),
+                }
+            }
+            Request::IngestBatch { records } => {
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    return err("shutting down".to_string());
+                }
+                shared.metrics.batch_records.record(records.len() as u64);
+                let mut submitted = shared.metrics.submitted.get();
+                for record in records {
+                    match route_one(shared, record, ctx) {
+                        Ok(s) => submitted = s,
+                        Err(e) => return err(e),
+                    }
+                }
+                Response::Ack { submitted }
+            }
+            Request::Flush => {
+                if let Err(e) = ingest_barrier(shared) {
+                    return err(e);
+                }
+                flush_fleet(shared, conns)
+            }
+            Request::Stats => match conns.gather_all(shared, &Request::Stats) {
+                Ok(responses) => {
+                    let mut bodies: Vec<StatsBody> = Vec::with_capacity(responses.len());
+                    for (shard, resp) in responses {
+                        match resp {
+                            Response::Stats(body) => bodies.push(body),
+                            other => return err(format!("shard {shard}: unexpected {other:?}")),
+                        }
+                    }
+                    Response::Stats(merge_stats(&bodies))
+                }
+                Err(e) => err(e),
+            },
+            Request::Trace { id, recent } => match id {
+                Some(id) => {
+                    let mut spans: Vec<SpanBody> = shared
+                        .core
+                        .tracer
+                        .spans(id)
+                        .into_iter()
+                        .map(SpanBody::from)
+                        .collect();
+                    // the backends hold the rest of the tree; best-effort
+                    // scatter — a dead shard just leaves its spans out (and
+                    // the lookup itself must not record onto the trace)
+                    conns.trace_ctx = None;
+                    let request = Request::Trace {
+                        id: Some(id),
+                        recent: None,
+                    };
+                    for (_, result) in conns.scatter(shared, all_shards_mask(shared), &request) {
+                        if let Ok(Response::Trace(body)) = result {
+                            spans.extend(body.spans);
+                        }
+                    }
+                    Response::Trace(TraceBody {
+                        spans,
+                        recent: vec![],
+                    })
+                }
+                None => Response::Trace(TraceBody {
+                    spans: vec![],
+                    recent: shared.core.tracer.recent(recent.unwrap_or(16)),
+                }),
+            },
+            Request::Metrics => match conns.gather_all(shared, &Request::Metrics) {
+                Ok(responses) => {
+                    let mut merged = shared.metrics.registry.snapshot();
+                    for (shard, resp) in responses {
+                        match resp {
+                            Response::Metrics(body) => match body.to_snapshot() {
+                                Some(snap) => merged = merged.merge(&snap),
+                                None => {
+                                    return err(format!("shard {shard}: malformed metrics body"));
+                                }
+                            },
+                            other => return err(format!("shard {shard}: unexpected {other:?}")),
+                        }
+                    }
+                    Response::Metrics(MetricsBody::from(merged))
+                }
+                Err(e) => err(e),
+            },
+            Request::Hello => Response::Hello {
+                version: PROTOCOL_VERSION,
+                features: ROUTER_FEATURES.iter().map(|f| (*f).to_string()).collect(),
+            },
+            Request::Sync { .. } | Request::Restore { .. } => err(
+                "backend-only command: issue it against a `bdi serve` backend, not the router"
+                    .to_string(),
+            ),
+            Request::Split { shard, addrs } => crate::fleet::split_shard(shared, shard, &addrs),
+            Request::Replace {
+                shard,
+                replica,
+                addr,
+            } => crate::fleet::replace_replica(shared, shard, replica, &addr),
+            Request::Shutdown => {
+                shared.shutdown.store(true, Ordering::SeqCst);
+                let _ = TcpStream::connect(self.addr);
+                Response::Bye
+            }
+        }
     }
 
     fn shutting_down(&self) -> bool {
         self.shared.shutdown.load(Ordering::SeqCst)
-    }
-}
-
-/// Handle one JSON-lines request against the fleet: parse, dispatch
-/// (panics answered as errors), serialize. Returns the response line
-/// (no trailing newline) and whether to close after writing it.
-fn handle_line(
-    line: &str,
-    shared: &Arc<RouterShared>,
-    conns: &mut QueryConns,
-    addr: SocketAddr,
-    meta: &nio::RequestMeta,
-) -> (String, bool) {
-    // the same optional `trace` envelope the backends accept
-    let (inbound, parsed) = if line.starts_with("{\"traced\"") {
-        match serde_json::from_str::<TracedRequest>(line) {
-            Ok(t) => {
-                let ctx = (t.trace.id != 0).then(|| t.trace.ctx());
-                (ctx, Ok(t.request))
-            }
-            Err(e) => (None, Err(e)),
-        }
-    } else {
-        (None, serde_json::from_str::<Request>(line))
-    };
-    let response = match parsed {
-        Err(e) => {
-            shared.metrics.request_errors.inc();
-            Response::Error {
-                message: format!("bad request: {e}"),
-            }
-        }
-        Ok(request) => {
-            let span = route_span(shared, inbound, request.kind(), meta);
-            let ctx = span.as_ref().map(|s| s.ctx());
-            let response = catch_unwind(AssertUnwindSafe(|| {
-                dispatch(request, shared, conns, addr, ctx)
-            }))
-            .unwrap_or_else(|_| Response::Error {
-                message: "internal error: request handler panicked".to_string(),
-            });
-            if let Some(span) = span {
-                shared.tracer.finish(span);
-            }
-            if matches!(response, Response::Error { .. }) {
-                shared.metrics.request_errors.inc();
-            }
-            response
-        }
-    };
-    let close = matches!(response, Response::Bye);
-    let body = serde_json::to_string(&response).unwrap_or_else(|_| {
-        "{\"error\":{\"message\":\"internal error: response serialization failed\"}}".to_string()
-    });
-    (body, close)
-}
-
-/// Handle one binary-framed request against the fleet: decode,
-/// dispatch (panics answered as errors), encode a binary reply. Only
-/// the hot write-path commands have binary encodings — everything else
-/// stays on JSON lines, which the front-end autodetects per message.
-fn handle_frame(
-    raw: &[u8],
-    shared: &Arc<RouterShared>,
-    conns: &mut QueryConns,
-    meta: &nio::RequestMeta,
-) -> (Vec<u8>, bool) {
-    let mut out = Vec::new();
-    let (opcode, wire_trace, payload) = match frame::open_frame_traced(raw) {
-        Ok(parts) => parts,
-        Err(e) => {
-            shared.metrics.request_errors.inc();
-            frame::encode_error(&mut out, &format!("bad frame: {e}"));
-            return (out, true);
-        }
-    };
-    let inbound = wire_trace
-        .filter(|&(trace, _)| trace != 0)
-        .map(|(trace, parent)| TraceContext { trace, parent });
-    let kind = match opcode {
-        frame::OP_INGEST_BATCH => "ingest_batch",
-        frame::OP_FLUSH => "flush",
-        _ => "other",
-    };
-    let span = route_span(shared, inbound, kind, meta);
-    let ctx = span.as_ref().map(|s| s.ctx());
-    let response = catch_unwind(AssertUnwindSafe(|| {
-        dispatch_frame(opcode, payload, shared, conns, ctx)
-    }))
-    .unwrap_or_else(|_| {
-        Ok(Response::Error {
-            message: "internal error: request handler panicked".to_string(),
-        })
-    })
-    .unwrap_or_else(|e| Response::Error {
-        message: format!("bad request: {e}"),
-    });
-    if let Some(span) = span {
-        shared.tracer.finish(span);
-    }
-    if matches!(response, Response::Error { .. }) {
-        shared.metrics.request_errors.inc();
-    }
-    if !frame::encode_response(&mut out, &response) {
-        frame::encode_error(&mut out, "internal error: unencodable binary reply");
-    }
-    (out, false)
-}
-
-/// Mint the `route.request` span for one client request against the
-/// fleet: adopt a propagated upstream context, else let the head
-/// sampler decide; a queued request gets a synthetic `queue.wait`
-/// child. The router-side twin of the backend's `serve.request`.
-fn route_span(
-    shared: &RouterShared,
-    inbound: Option<TraceContext>,
-    kind: &'static str,
-    meta: &nio::RequestMeta,
-) -> Option<bdi_obs::ActiveSpan> {
-    let mut span = match inbound {
-        Some(ctx) => Some(shared.tracer.adopt(ctx, "route.request")),
-        None => shared.tracer.root("route.request").map(|r| r.span),
-    }?;
-    span.set_cmd(kind);
-    if meta.queued_ns > 0 {
-        let start = span.start_ns().saturating_sub(meta.queued_ns);
-        shared
-            .tracer
-            .record(span.ctx(), "queue.wait", start, span.start_ns(), &[]);
-    }
-    Some(span)
-}
-
-/// Binary twin of the write-path arms of [`dispatch`]: same routing,
-/// same barrier, same metrics — only the codec differs.
-fn dispatch_frame(
-    opcode: u8,
-    payload: &[u8],
-    shared: &Arc<RouterShared>,
-    conns: &mut QueryConns,
-    ctx: Option<TraceContext>,
-) -> std::io::Result<Response> {
-    conns.trace_ctx = ctx;
-    let mut r = frame::Reader::new(payload);
-    let trailing = |r: &frame::Reader<'_>| -> std::io::Result<()> {
-        if r.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "trailing bytes after payload",
-            ))
-        }
-    };
-    match opcode {
-        frame::OP_INGEST_BATCH => {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return Ok(err("shutting down".to_string()));
-            }
-            let records = frame::read_records(&mut r)?;
-            trailing(&r)?;
-            shared.metrics.batch_records.record(records.len() as u64);
-            let mut submitted = shared.metrics.submitted.get();
-            for record in records {
-                match route_one(shared, record, ctx) {
-                    Ok(s) => submitted = s,
-                    Err(e) => return Ok(err(e)),
-                }
-            }
-            Ok(Response::Ack { submitted })
-        }
-        frame::OP_FLUSH => {
-            trailing(&r)?;
-            if let Err(e) = ingest_barrier(shared) {
-                return Ok(err(e));
-            }
-            Ok(flush_fleet(shared, conns))
-        }
-        frame::OP_SYNC | frame::OP_RESTORE => Ok(err(
-            "backend-only command: issue it against a `bdi serve` backend, not the router"
-                .to_string(),
-        )),
-        other => Ok(err(format!("unexpected request opcode 0x{other:02x}"))),
     }
 }
 
@@ -780,7 +693,7 @@ impl QueryConns {
         let mut results: Vec<(usize, Result<Response, String>)> = Vec::new();
         let mut pending: Vec<(usize, usize, u64)> = Vec::new();
         for shard in mask_shards(mask).filter(|&s| s < n) {
-            let t0 = shared.tracer.now_ns();
+            let t0 = shared.core.tracer.now_ns();
             match self.send_failover(shared, shard, &line) {
                 Ok(replica) => pending.push((shard, replica, t0)),
                 Err(e) => results.push((shard, Err(e))),
@@ -789,11 +702,11 @@ impl QueryConns {
         for (shard, replica, t0) in pending {
             let result = self.recv_failover(shared, shard, replica, &line);
             if let Some(ctx) = self.trace_ctx {
-                shared.tracer.record(
+                shared.core.tracer.record(
                     ctx,
                     "backend.query",
                     t0,
-                    shared.tracer.now_ns(),
+                    shared.core.tracer.now_ns(),
                     &[("shard", shard as u64), ("replica", replica as u64)],
                 );
             }
@@ -851,7 +764,7 @@ fn route_one(
     record: Record,
     ctx: Option<TraceContext>,
 ) -> Result<u64, String> {
-    let t0 = ctx.map(|_| shared.tracer.now_ns());
+    let t0 = ctx.map(|_| shared.core.tracer.now_ns());
     let fp = RecordFingerprint::of(&record);
     let mut lanes: Vec<Arc<ReplicaLane>> = Vec::new();
     let home;
@@ -887,17 +800,17 @@ fn route_one(
         }
     }
     if let (Some(ctx), Some(t0)) = (ctx, t0) {
-        shared.tracer.record(
+        shared.core.tracer.record(
             ctx,
             "route.partition",
             t0,
-            shared.tracer.now_ns(),
+            shared.core.tracer.now_ns(),
             &[("home", home), ("copies", lanes.len() as u64)],
         );
     }
     let last = lanes.len() - 1;
     let mut record = Some(record);
-    let item_ctx = ctx.map(|c| (c, shared.tracer.now_ns()));
+    let item_ctx = ctx.map(|c| (c, shared.core.tracer.now_ns()));
     for (i, lane) in lanes.iter().enumerate() {
         let copy = if i == last {
             record.take().expect("moved exactly once")
@@ -969,154 +882,6 @@ fn ingest_barrier(shared: &RouterShared) -> Result<(), String> {
 
 fn err(message: String) -> Response {
     Response::Error { message }
-}
-
-fn dispatch(
-    request: Request,
-    shared: &Arc<RouterShared>,
-    conns: &mut QueryConns,
-    addr: SocketAddr,
-    ctx: Option<TraceContext>,
-) -> Response {
-    conns.trace_ctx = ctx;
-    match request {
-        Request::Lookup { identifier } => lookup(shared, conns, &identifier),
-        Request::Filter {
-            attribute,
-            min,
-            max,
-            limit,
-        } => {
-            let request = Request::Filter {
-                attribute,
-                min,
-                max,
-                limit,
-            };
-            match gather_entries(shared, conns, &request) {
-                Ok((generation, gathered)) => {
-                    let mut entries = merge_entries(gathered);
-                    entries.truncate(limit.unwrap_or(100));
-                    Response::Entries {
-                        generation,
-                        entries,
-                    }
-                }
-                Err(e) => err(e),
-            }
-        }
-        Request::TopK { attribute, k } => top_k(shared, conns, &attribute, k),
-        Request::Ingest { record } => {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return err("shutting down".to_string());
-            }
-            match route_one(shared, record, ctx) {
-                Ok(submitted) => Response::Ack { submitted },
-                Err(e) => err(e),
-            }
-        }
-        Request::IngestBatch { records } => {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return err("shutting down".to_string());
-            }
-            shared.metrics.batch_records.record(records.len() as u64);
-            let mut submitted = shared.metrics.submitted.get();
-            for record in records {
-                match route_one(shared, record, ctx) {
-                    Ok(s) => submitted = s,
-                    Err(e) => return err(e),
-                }
-            }
-            Response::Ack { submitted }
-        }
-        Request::Flush => {
-            if let Err(e) = ingest_barrier(shared) {
-                return err(e);
-            }
-            flush_fleet(shared, conns)
-        }
-        Request::Stats => match conns.gather_all(shared, &Request::Stats) {
-            Ok(responses) => {
-                let mut bodies: Vec<StatsBody> = Vec::with_capacity(responses.len());
-                for (shard, resp) in responses {
-                    match resp {
-                        Response::Stats(body) => bodies.push(body),
-                        other => return err(format!("shard {shard}: unexpected {other:?}")),
-                    }
-                }
-                Response::Stats(merge_stats(&bodies))
-            }
-            Err(e) => err(e),
-        },
-        Request::Trace { id, recent } => match id {
-            Some(id) => {
-                let mut spans: Vec<SpanBody> = shared
-                    .tracer
-                    .spans(id)
-                    .into_iter()
-                    .map(SpanBody::from)
-                    .collect();
-                // the backends hold the rest of the tree; best-effort
-                // scatter — a dead shard just leaves its spans out (and
-                // the lookup itself must not record onto the trace)
-                conns.trace_ctx = None;
-                let request = Request::Trace {
-                    id: Some(id),
-                    recent: None,
-                };
-                for (_, result) in conns.scatter(shared, all_shards_mask(shared), &request) {
-                    if let Ok(Response::Trace(body)) = result {
-                        spans.extend(body.spans);
-                    }
-                }
-                Response::Trace(TraceBody {
-                    spans,
-                    recent: vec![],
-                })
-            }
-            None => Response::Trace(TraceBody {
-                spans: vec![],
-                recent: shared.tracer.recent(recent.unwrap_or(16)),
-            }),
-        },
-        Request::Metrics => match conns.gather_all(shared, &Request::Metrics) {
-            Ok(responses) => {
-                let mut merged = shared.metrics.registry.snapshot();
-                for (shard, resp) in responses {
-                    match resp {
-                        Response::Metrics(body) => match body.to_snapshot() {
-                            Some(snap) => merged = merged.merge(&snap),
-                            None => {
-                                return err(format!("shard {shard}: malformed metrics body"));
-                            }
-                        },
-                        other => return err(format!("shard {shard}: unexpected {other:?}")),
-                    }
-                }
-                Response::Metrics(MetricsBody::from(merged))
-            }
-            Err(e) => err(e),
-        },
-        Request::Hello => Response::Hello {
-            version: PROTOCOL_VERSION,
-            features: ROUTER_FEATURES.iter().map(|f| (*f).to_string()).collect(),
-        },
-        Request::Sync { .. } | Request::Restore { .. } => err(
-            "backend-only command: issue it against a `bdi serve` backend, not the router"
-                .to_string(),
-        ),
-        Request::Split { shard, addrs } => crate::fleet::split_shard(shared, shard, &addrs),
-        Request::Replace {
-            shard,
-            replica,
-            addr,
-        } => crate::fleet::replace_replica(shared, shard, replica, &addr),
-        Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(addr);
-            Response::Bye
-        }
-    }
 }
 
 /// Flush every replica of every shard (each copy is its own engine and

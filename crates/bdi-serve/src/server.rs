@@ -1,17 +1,16 @@
-//! The TCP daemon: connection front-end, dispatch, ingest worker.
+//! The backend daemon: the engine's ingest worker, durability, and the
+//! backend's half of the request core — its `dispatch`.
 //!
 //! Threading model:
 //!
-//! * the **front-end** owns the sockets. The default is the readiness
-//!   loop ([`crate::nio`]): one epoll thread multiplexing every
-//!   connection (JSON lines and HTTP/1.1, auto-detected per
-//!   connection) plus a small dispatch worker pool, so tens of
-//!   thousands of mostly-idle connections cost buffers, not threads.
-//!   [`FrontEndKind::Threaded`] retains the original
-//!   thread-per-connection accept loop (JSON lines only) as the
-//!   `serve_c10k` bench baseline and an escape hatch — both call the
-//!   same [`dispatch`] via the same `handle_line`, so responses are
-//!   byte-identical;
+//! * the **front-end** owns the sockets: the readiness loop
+//!   ([`crate::nio`]), one epoll thread multiplexing every connection
+//!   (JSON lines, binary frames and HTTP/1.1, auto-detected) plus a
+//!   small dispatch worker pool. Every request, whichever wire carried
+//!   it, is decoded into a [`Request`], wrapped by the shared envelope
+//!   (`crate::request`) and executed by the backend's
+//!   `Service::dispatch` — the only function here that matches on
+//!   request variants;
 //! * one **ingest worker** owns the [`Engine`]. Handlers forward
 //!   `ingest` records through a bounded crossbeam channel — when the
 //!   worker falls behind, the channel fills and senders block, which is
@@ -28,27 +27,24 @@
 //! [`Server::start`] on the same data directory rebuilds the exact
 //! pre-crash state from one snapshot load plus the WAL tail.
 //!
-//! A panic anywhere on a connection's request path (malformed input
-//! reaching a deep invariant, say) is caught and answered with an
-//! `error` response instead of killing the handler thread; a panic while
+//! A panic anywhere on a request's path (malformed input reaching a
+//! deep invariant, say) is caught by the envelope and answered with an
+//! `error` response instead of killing the worker thread; a panic while
 //! applying one record is caught, counted in `stats.rejected`, and the
-//! worker keeps draining.
+//! ingest worker keeps draining.
 
 use crate::engine::{Engine, EngineMetrics};
-use crate::frame;
 use crate::gen::{Generation, ShardedIndex, Swap};
-use crate::http::{self, HttpMetrics};
 use crate::nio;
 use crate::protocol::{
-    CommandLatency, MetricsBody, Request, Response, SpanBody, StatsBody, TraceBody, TracedRequest,
-    PROTOCOL_VERSION,
+    MetricsBody, Request, Response, SpanBody, StatsBody, TraceBody, PROTOCOL_VERSION,
 };
+use crate::request::RequestCore;
 use crate::snapshot::Snapshot;
 use crate::wal::{Wal, WalMetrics};
-use bdi_obs::{Counter, Gauge, Histogram, Registry, RegistrySnapshot, TraceContext, Tracer};
+use bdi_obs::{Counter, Gauge, Histogram, Registry, TraceContext, Tracer};
 use bdi_types::Record;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -60,8 +56,9 @@ use std::time::{Duration, Instant};
 /// Durability tunables: where state lives and how eagerly it hits disk.
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
-    /// Directory holding `wal.log` and `snapshot.json` (created if
-    /// missing). Reusing a directory resumes its state.
+    /// Directory holding the WAL segments (`wal-<base>.seg`) and
+    /// `snapshot.bin` (created if missing). Reusing a directory resumes
+    /// its state.
     pub data_dir: PathBuf,
     /// fsync the WAL after this many appended records (1 = every
     /// record). Larger batches keep the hot path off the disk's fsync
@@ -86,35 +83,18 @@ impl DurabilityConfig {
     }
 }
 
-/// Which connection front-end owns the sockets.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FrontEndKind {
-    /// The readiness loop ([`crate::nio`], the default): one epoll
-    /// thread plus a dispatch worker pool. Serves JSON lines *and*
-    /// HTTP/1.1 on the same port (protocol sniffed from a connection's
-    /// first bytes) and holds tens of thousands of idle connections.
-    #[default]
-    Readiness,
-    /// The original thread-per-connection accept loop (JSON lines
-    /// only). Retained as the `serve_c10k` bench baseline and an
-    /// escape hatch; dispatch and responses are identical.
-    Threaded,
-}
-
 /// Server tunables.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Connection front-end (readiness loop by default).
-    pub front_end: FrontEndKind,
-    /// Dispatch worker threads for the readiness front-end (0 = a
-    /// small default). This bounds how many *blocking* commands (flush
+    /// Dispatch worker threads for the front-end (0 resolves to one
+    /// worker). This bounds how many *blocking* commands (flush
     /// barriers, backpressured ingests) run at once — queries are
     /// cheap and rarely queue.
     pub workers: usize,
     /// Additional dedicated HTTP listener address. Optional: the
-    /// readiness front-end already answers HTTP on the main port via
+    /// front-end already answers HTTP on the main port via
     /// autodetection; this serves deployments that want the human/API
     /// port firewalled separately. Served by the same loop.
     pub http_addr: Option<String>,
@@ -154,18 +134,12 @@ pub struct ServerConfig {
     pub metrics_file: Option<PathBuf>,
     /// How often the metrics file is rewritten.
     pub metrics_interval: Duration,
-    /// Accept binary frames and advertise `binary-frames` in `hello`
-    /// (the default). `false` (`bdi serve --no-binary`) keeps this node
-    /// JSON-only — peers that autonegotiate fall back, which is how a
-    /// mixed-format fleet runs during a staged rollout.
-    pub binary_wire: bool,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            front_end: FrontEndKind::default(),
             workers: 0,
             http_addr: None,
             threshold: 0.9,
@@ -178,38 +152,17 @@ impl Default for ServerConfig {
             slow_ms: None,
             metrics_file: None,
             metrics_interval: Duration::from_secs(5),
-            binary_wire: true,
             trace_sample: 0,
         }
     }
 }
 
-/// Wire names of every request command, in [`command_slot`] order.
-const COMMAND_KINDS: [&str; 15] = [
-    "lookup",
-    "filter",
-    "top_k",
-    "ingest",
-    "ingest_batch",
-    "flush",
-    "stats",
-    "metrics",
-    "shutdown",
-    "hello",
-    "sync",
-    "restore",
-    "split",
-    "replace",
-    "trace",
-];
-
 /// The wire features this build advertises in its `hello` reply. A
 /// router checks for the ones it depends on (`ingest_batch` for the
 /// pipelined lanes, `sync` for replacement bootstrap) instead of
-/// discovering their absence as unknown-command errors mid-stream.
-/// `binary-frames` is dropped from the reply when
-/// [`ServerConfig::binary_wire`] is off — peers negotiate the format
-/// off this list, never by trial and error.
+/// discovering their absence as unknown-command errors mid-stream, and
+/// peers negotiate the wire format off this list, never by trial and
+/// error.
 pub const FEATURES: [&str; 6] = [
     "ingest_batch",
     "flush_barrier",
@@ -227,33 +180,12 @@ pub const FEATURE_BINARY: &str = "binary-frames";
 /// JSON-lines `trace` envelope; peers that don't get plain requests.
 pub const FEATURE_TRACE: &str = "trace-context";
 
-/// Index of a command kind in the per-command metric handle arrays.
-fn command_slot(kind: &str) -> usize {
-    COMMAND_KINDS
-        .iter()
-        .position(|&k| k == kind)
-        .expect("Request::kind returns a known command")
-}
-
-/// Every serve-path metric handle, resolved once at startup so the
-/// request and ingest hot paths never take the registry's name lock.
-/// The nine counters/gauges that used to be ad-hoc `AtomicU64`s on
-/// `Shared` live here now — `stats` and `metrics` read the same cells
-/// and can never disagree.
+/// Every ingest- and durability-path metric handle, resolved once at
+/// startup so the hot paths never take the registry's name lock (the
+/// per-request families live in the [`RequestCore`]). `stats` and
+/// `metrics` read the same cells and can never disagree.
 pub(crate) struct ServeMetrics {
     registry: Registry,
-    /// Per-command request latency, ns ([`command_slot`] order).
-    request_ns: [Arc<Histogram>; COMMAND_KINDS.len()],
-    /// Per-command request payload size, bytes (the JSON line).
-    request_bytes: [Arc<Histogram>; COMMAND_KINDS.len()],
-    /// Unparseable requests plus error responses.
-    request_errors: Counter,
-    /// HTTP-adapter counters and per-endpoint latency (`serve.http.*`).
-    http: HttpMetrics,
-    /// Open connections right now (both front-ends count here).
-    conn_open: Gauge,
-    /// Connections accepted since start.
-    conn_accepted: Counter,
     /// Records per `ingest_batch` request (a size, not a latency).
     ingest_batch_records: Arc<Histogram>,
     /// Records accepted into the ingest queue.
@@ -301,17 +233,7 @@ pub(crate) struct ServeMetrics {
 
 impl ServeMetrics {
     fn new(registry: Registry) -> Self {
-        let request_ns = COMMAND_KINDS
-            .map(|kind| registry.histogram(&format!("serve.request.{kind}.latency_ns")));
-        let request_bytes =
-            COMMAND_KINDS.map(|kind| registry.histogram(&format!("serve.request.{kind}.bytes")));
         Self {
-            request_ns,
-            request_bytes,
-            request_errors: registry.counter("serve.request.errors"),
-            http: HttpMetrics::register(&registry, "serve"),
-            conn_open: registry.gauge("serve.conn.open"),
-            conn_accepted: registry.counter("serve.conn.accepted"),
             ingest_batch_records: registry.histogram("serve.ingest.batch_records"),
             submitted: registry.counter("serve.ingest.submitted"),
             applied: registry.counter("serve.ingest.applied"),
@@ -374,14 +296,12 @@ struct RestoreJob {
 struct Shared {
     current: Swap<Generation>,
     metrics: ServeMetrics,
-    /// The flight recorder: a fixed ring of span events every request
-    /// path writes into (when sampled/forced) and `trace` reads out.
-    tracer: Tracer,
+    /// The request core: the flight recorder plus the per-request
+    /// metrics and slow log the envelope records into.
+    core: RequestCore,
     shutdown: AtomicBool,
     shards: usize,
     durable: bool,
-    slow_ms: Option<u64>,
-    binary_wire: bool,
 }
 
 /// A running integration service.
@@ -412,12 +332,10 @@ impl Server {
         let shared = Arc::new(Shared {
             current: Swap::new(Generation::empty(cfg.shards)),
             metrics: ServeMetrics::new(registry.clone()),
-            tracer,
+            core: RequestCore::new(&registry, tracer, "serve", "serve.request", cfg.slow_ms),
             shutdown: AtomicBool::new(false),
             shards: cfg.shards,
             durable: cfg.durability.is_some(),
-            slow_ms: cfg.slow_ms,
-            binary_wire: cfg.binary_wire,
         });
 
         let engine_threads = if cfg.engine_threads == 0 {
@@ -475,35 +393,14 @@ impl Server {
             Some(l) => Some(l.local_addr()?),
             None => None,
         };
-        let accept = match cfg.front_end {
-            FrontEndKind::Readiness => {
-                let mut listeners = vec![listener];
-                listeners.extend(http_listener);
-                let service = Arc::new(ServeService {
-                    shared: Arc::clone(&shared),
-                    tx: tx.clone(),
-                    addr,
-                });
-                nio::spawn_front_end(listeners, service, &registry, "serve", cfg.workers)?
-            }
-            FrontEndKind::Threaded => {
-                // a dedicated HTTP port still gets a readiness loop of
-                // its own, so `--http` works under either front-end
-                if let Some(l) = http_listener {
-                    let service = Arc::new(ServeService {
-                        shared: Arc::clone(&shared),
-                        tx: tx.clone(),
-                        addr,
-                    });
-                    // joined transitively: it exits on the same
-                    // shutdown flag the accept loop watches
-                    nio::spawn_front_end(vec![l], service, &registry, "serve", cfg.workers)?;
-                }
-                let shared = Arc::clone(&shared);
-                let tx = tx.clone();
-                std::thread::spawn(move || accept_loop(listener, addr, shared, tx))
-            }
-        };
+        let mut listeners = vec![listener];
+        listeners.extend(http_listener);
+        let service = Arc::new(ServeService {
+            shared: Arc::clone(&shared),
+            tx: tx.clone(),
+            addr,
+        });
+        let accept = nio::spawn_front_end(listeners, service, &registry, "serve", cfg.workers)?;
         let metrics_writer = cfg.metrics_file.map(|path| {
             let shared = Arc::clone(&shared);
             let interval = cfg.metrics_interval.max(Duration::from_millis(100));
@@ -520,12 +417,6 @@ impl Server {
         })
     }
 
-    /// A point-in-time snapshot of the server's metrics registry — what
-    /// the `metrics` wire command returns, without a connection.
-    pub fn metrics(&self) -> RegistrySnapshot {
-        self.shared.metrics.registry.snapshot()
-    }
-
     /// The bound address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -533,7 +424,7 @@ impl Server {
 
     /// The bound dedicated-HTTP address, when
     /// [`ServerConfig::http_addr`] was set. The main [`Server::addr`]
-    /// also answers HTTP under the readiness front-end.
+    /// also answers HTTP (the front-end autodetects it).
     pub fn http_addr(&self) -> Option<SocketAddr> {
         self.http_addr
     }
@@ -781,7 +672,7 @@ fn apply_record(engine: &mut Engine, record: Record, ctx: Option<TraceContext>, 
         }
         return;
     };
-    let tracer = &shared.tracer;
+    let tracer = &shared.core.tracer;
     let start = tracer.now_ns();
     match catch_unwind(AssertUnwindSafe(|| engine.ingest_timed(record))) {
         Err(_) => {
@@ -825,11 +716,12 @@ fn append_traced(
     let Some(ctx) = ctx else {
         return log.append(record, shared);
     };
-    let t0 = shared.tracer.now_ns();
+    let t0 = shared.core.tracer.now_ns();
     let result = log.append(record, shared);
     shared
+        .core
         .tracer
-        .record(ctx, "wal.append", t0, shared.tracer.now_ns(), &[]);
+        .record(ctx, "wal.append", t0, shared.core.tracer.now_ns(), &[]);
     result
 }
 
@@ -859,16 +751,16 @@ fn batch_cycle(
         return;
     }
     if let Some(log) = durable.as_mut() {
-        let t0 = ctx.map(|_| shared.tracer.now_ns());
+        let t0 = ctx.map(|_| shared.core.tracer.now_ns());
         if let Err(e) = log.append_batch(&records, shared) {
             log_io_error(e);
         }
         if let (Some(ctx), Some(t0)) = (ctx, t0) {
-            shared.tracer.record(
+            shared.core.tracer.record(
                 ctx,
                 "wal.append",
                 t0,
-                shared.tracer.now_ns(),
+                shared.core.tracer.now_ns(),
                 &[("records", n)],
             );
         }
@@ -882,6 +774,7 @@ fn batch_cycle(
         }
         Some(ctx) => {
             let mut span = shared
+                .core
                 .tracer
                 .begin(Some(ctx), "engine.batch")
                 .expect("ctx is Some");
@@ -890,20 +783,20 @@ fn batch_cycle(
             for record in records {
                 apply_record(engine, record, Some(child), shared);
             }
-            shared.tracer.finish(span);
+            shared.core.tracer.finish(span);
         }
     }
     if let Some(log) = durable.as_mut() {
-        let t0 = shared.tracer.now_ns();
+        let t0 = shared.core.tracer.now_ns();
         match log.sync_if_due(rx.is_empty(), shared) {
             Err(e) => log_io_error(e),
             Ok(true) => {
                 if let Some(ctx) = ctx {
-                    shared.tracer.record(
+                    shared.core.tracer.record(
                         ctx,
                         "wal.fsync",
                         t0,
-                        shared.tracer.now_ns(),
+                        shared.core.tracer.now_ns(),
                         &[("group", 1)],
                     );
                 }
@@ -912,14 +805,14 @@ fn batch_cycle(
         }
     }
     *seq += 1;
-    let t0 = shared.tracer.now_ns();
+    let t0 = shared.core.tracer.now_ns();
     publish(shared, engine, *seq);
     if let Some(ctx) = ctx {
-        shared.tracer.record(
+        shared.core.tracer.record(
             ctx,
             "publish",
             t0,
-            shared.tracer.now_ns(),
+            shared.core.tracer.now_ns(),
             &[("records", n)],
         );
     }
@@ -1021,14 +914,15 @@ fn ingest_worker(
         // write-ahead before publish: a record is only announced as
         // applied once its WAL bytes are (batch-policy) durable
         if let Some(log) = &mut durable {
-            let t0 = shared.tracer.now_ns();
+            let t0 = shared.core.tracer.now_ns();
             match log.sync_if_due(rx.is_empty(), &shared) {
                 Err(e) => log_io_error(e),
                 Ok(true) => {
-                    let t1 = shared.tracer.now_ns();
+                    let t1 = shared.core.tracer.now_ns();
                     let batched = traced.len() as u64;
                     for ctx in &traced {
                         shared
+                            .core
                             .tracer
                             .record(*ctx, "wal.fsync", t0, t1, &[("group", batched)]);
                     }
@@ -1037,12 +931,13 @@ fn ingest_worker(
             }
         }
         seq += 1;
-        let t0 = shared.tracer.now_ns();
+        let t0 = shared.core.tracer.now_ns();
         publish(&shared, &mut engine, seq);
         if !traced.is_empty() {
-            let t1 = shared.tracer.now_ns();
+            let t1 = shared.core.tracer.now_ns();
             for ctx in traced.drain(..) {
                 shared
+                    .core
                     .tracer
                     .record(ctx, "publish", t0, t1, &[("records", n)]);
             }
@@ -1199,8 +1094,7 @@ fn handle_restore(
 }
 
 /// The backend as a [`nio::Service`]: stateless per connection (every
-/// query runs against whatever generation is published), both
-/// protocols funneling into the same [`dispatch`].
+/// query runs against whatever generation is published).
 struct ServeService {
     shared: Arc<Shared>,
     tx: Sender<Job>,
@@ -1212,645 +1106,203 @@ impl nio::Service for ServeService {
 
     fn new_conn(&self) {}
 
-    fn handle_line(&self, _conn: &mut (), line: &str, meta: &nio::RequestMeta) -> (String, bool) {
-        handle_line(line, &self.shared, &self.tx, self.addr, meta)
+    fn core(&self) -> &RequestCore {
+        &self.shared.core
     }
 
-    fn handle_frame(&self, _conn: &mut (), raw: &[u8], meta: &nio::RequestMeta) -> (Vec<u8>, bool) {
-        handle_frame(raw, &self.shared, &self.tx, meta)
-    }
-
-    fn handle_http(
-        &self,
-        _conn: &mut (),
-        req: http::HttpRequest,
-        meta: &nio::RequestMeta,
-    ) -> http::HttpResponse {
-        http::respond(
-            &req,
-            &self.shared.metrics.http,
-            &self.shared.tracer,
-            meta.queued_ns,
-            |request, ctx| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    dispatch(request, &self.shared, &self.tx, self.addr, ctx)
-                }))
-                .unwrap_or_else(|_| Response::Error {
-                    message: "internal error: request handler panicked".to_string(),
-                })
-            },
-        )
-    }
-
-    fn shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-}
-
-/// The one slow-request log line both wire handlers share (the two
-/// front-ends and both formats funnel here, so the format can't
-/// drift): command, latency, payload size, generation, peer, and — when
-/// the request was traced — the trace id, which is simultaneously
-/// retained in the flight recorder so `trace <id>` resolves exactly the
-/// requests this log names.
-fn note_slow(
-    shared: &Shared,
-    kind: &str,
-    elapsed: Duration,
-    bytes: usize,
-    peer: Option<SocketAddr>,
-    trace: Option<u64>,
-) {
-    let Some(threshold_ms) = shared.slow_ms else {
-        return;
-    };
-    let elapsed_ms = elapsed.as_millis() as u64;
-    if elapsed_ms < threshold_ms {
-        return;
-    }
-    let peer = match peer {
-        Some(p) => p.to_string(),
-        None => "-".to_string(),
-    };
-    let trace = match trace {
-        Some(t) => {
-            // keep the slow exemplar's full span tree readable after
-            // the ring wraps
-            shared.tracer.retain(t);
-            format!("{t:016x}")
-        }
-        None => "-".to_string(),
-    };
-    eprintln!(
-        "bdi-serve: slow-request cmd={kind} elapsed_ms={elapsed_ms} \
-         bytes={bytes} generation={} peer={peer} trace={trace}",
-        shared.current.load().seq,
-    );
-}
-
-/// Mint the `serve.request` span for one wire request: adopt the
-/// caller's context when it propagated one (always recorded — the
-/// sampling decision was made upstream), otherwise let the head sampler
-/// decide. A traced request that waited in the front-end's dispatch
-/// queue also gets a synthetic `queue.wait` child covering the wait.
-fn request_span(
-    shared: &Shared,
-    inbound: Option<TraceContext>,
-    kind: &'static str,
-    meta: &nio::RequestMeta,
-) -> Option<bdi_obs::ActiveSpan> {
-    let mut span = match inbound {
-        Some(ctx) => Some(shared.tracer.adopt(ctx, "serve.request")),
-        None => shared.tracer.root("serve.request").map(|r| r.span),
-    }?;
-    span.set_cmd(kind);
-    if meta.queued_ns > 0 {
-        let start = span.start_ns().saturating_sub(meta.queued_ns);
-        shared
-            .tracer
-            .record(span.ctx(), "queue.wait", start, span.start_ns(), &[]);
-    }
-    Some(span)
-}
-
-/// Handle one JSON-lines request: parse, meter, dispatch (panics
-/// answered as errors), serialize. Returns the response line (no
-/// trailing newline) and whether the connection should close after it.
-/// Both front-ends call this, which is what keeps their output
-/// byte-identical.
-fn handle_line(
-    line: &str,
-    shared: &Shared,
-    tx: &Sender<Job>,
-    addr: SocketAddr,
-    meta: &nio::RequestMeta,
-) -> (String, bool) {
-    // an optional `trace` envelope prefixes the request with the
-    // caller's context — detectable from the leading key, so plain
-    // requests never pay a second parse
-    let (inbound, parsed) = if line.starts_with("{\"traced\"") {
-        match serde_json::from_str::<TracedRequest>(line) {
-            Ok(t) => {
-                let ctx = (t.trace.id != 0).then(|| t.trace.ctx());
-                (ctx, Ok(t.request))
-            }
-            Err(e) => (None, Err(e)),
-        }
-    } else {
-        (None, serde_json::from_str::<Request>(line))
-    };
-    let response = match parsed {
-        Err(e) => {
-            shared.metrics.request_errors.inc();
-            Response::Error {
-                message: format!("bad request: {e}"),
-            }
-        }
-        Ok(request) => {
-            let kind = request.kind();
-            let slot = command_slot(kind);
-            shared.metrics.request_bytes[slot].record(line.len() as u64);
-            let span = request_span(shared, inbound, kind, meta);
-            let ctx = span.as_ref().map(|s| s.ctx());
-            let trace_id = span.as_ref().map(|s| s.trace_id());
-            // a panic anywhere under dispatch (a malformed-but-
-            // parseable request tripping a deep invariant) answers
-            // this one request with an error instead of tearing
-            // down the connection
-            let t0 = Instant::now();
-            let response = catch_unwind(AssertUnwindSafe(|| {
-                dispatch(request, shared, tx, addr, ctx)
-            }))
-            .unwrap_or_else(|_| Response::Error {
-                message: "internal error: request handler panicked".to_string(),
-            });
-            let elapsed = t0.elapsed();
-            if let Some(span) = span {
-                shared.tracer.finish(span);
-            }
-            shared.metrics.request_ns[slot].record_duration(elapsed);
-            if matches!(response, Response::Error { .. }) {
-                shared.metrics.request_errors.inc();
-            }
-            note_slow(shared, kind, elapsed, line.len(), meta.peer, trace_id);
-            response
-        }
-    };
-    let close = matches!(response, Response::Bye);
-    let body = serde_json::to_string(&response).unwrap_or_else(|_| {
-        "{\"error\":{\"message\":\"internal error: response serialization failed\"}}".to_string()
-    });
-    (body, close)
-}
-
-/// Handle one binary frame: validate, meter, dispatch (panics answered
-/// as error frames), encode the reply frame. The binary twin of
-/// [`handle_line`] — both front-ends call this, so replies are
-/// byte-identical across them.
-fn handle_frame(
-    raw: &[u8],
-    shared: &Shared,
-    tx: &Sender<Job>,
-    meta: &nio::RequestMeta,
-) -> (Vec<u8>, bool) {
-    let mut out = Vec::new();
-    if !shared.binary_wire {
-        // this node never advertised `binary-frames`; a frame here is a
-        // peer that skipped negotiation, and the stream past it cannot
-        // be trusted to re-synchronize
-        shared.metrics.request_errors.inc();
-        frame::encode_error(&mut out, "binary frames are disabled on this server");
-        return (out, true);
-    }
-    let (opcode, wire_trace, payload) = match frame::open_frame_traced(raw) {
-        Ok(parts) => parts,
-        Err(e) => {
-            shared.metrics.request_errors.inc();
-            frame::encode_error(&mut out, &format!("bad frame: {e}"));
-            return (out, true);
-        }
-    };
-    let kind = match opcode {
-        frame::OP_INGEST_BATCH => "ingest_batch",
-        frame::OP_FLUSH => "flush",
-        frame::OP_SYNC => "sync",
-        frame::OP_RESTORE => "restore",
-        other => {
-            shared.metrics.request_errors.inc();
-            frame::encode_error(&mut out, &format!("unexpected request opcode {other:#04x}"));
-            return (out, false);
-        }
-    };
-    let inbound = wire_trace
-        .filter(|&(trace, _)| trace != 0)
-        .map(|(trace, parent)| TraceContext { trace, parent });
-    let slot = command_slot(kind);
-    shared.metrics.request_bytes[slot].record(raw.len() as u64);
-    let span = request_span(shared, inbound, kind, meta);
-    let ctx = span.as_ref().map(|s| s.ctx());
-    let trace_id = span.as_ref().map(|s| s.trace_id());
-    let t0 = Instant::now();
-    let response = match catch_unwind(AssertUnwindSafe(|| {
-        dispatch_frame(opcode, payload, shared, tx, ctx)
-    })) {
-        Ok(Ok(response)) => response,
-        Ok(Err(e)) => Response::Error {
-            message: format!("bad request: {e}"),
-        },
-        Err(_) => Response::Error {
-            message: "internal error: request handler panicked".to_string(),
-        },
-    };
-    let elapsed = t0.elapsed();
-    if let Some(span) = span {
-        shared.tracer.finish(span);
-    }
-    shared.metrics.request_ns[slot].record_duration(elapsed);
-    if matches!(response, Response::Error { .. }) {
-        shared.metrics.request_errors.inc();
-    }
-    note_slow(shared, kind, elapsed, raw.len(), meta.peer, trace_id);
-    if !frame::encode_response(&mut out, &response) {
-        frame::encode_error(&mut out, "internal error: unencodable binary reply");
-    }
-    (out, false)
-}
-
-/// Dispatch one binary request. Each arm mirrors the corresponding
-/// [`dispatch`] arm exactly — only the decode differs, so the two
-/// formats can never diverge in behavior.
-fn dispatch_frame(
-    opcode: u8,
-    payload: &[u8],
-    shared: &Shared,
-    tx: &Sender<Job>,
-    ctx: Option<TraceContext>,
-) -> std::io::Result<Response> {
-    let mut r = frame::Reader::new(payload);
-    let trailing = |r: &frame::Reader| -> std::io::Result<()> {
-        if r.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{} trailing bytes after request payload", r.remaining()),
-            ))
-        }
-    };
-    Ok(match opcode {
-        frame::OP_INGEST_BATCH => {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return Ok(Response::Error {
-                    message: "shutting down".to_string(),
-                });
-            }
-            let records = frame::read_records(&mut r)?;
-            trailing(&r)?;
-            shared
-                .metrics
-                .ingest_batch_records
-                .record(records.len() as u64);
-            // one job for the whole batch: the worker appends and
-            // applies it as a single transactional cycle
-            let n = records.len() as u64;
-            if n > 0 {
-                if tx.send(Job::Batch(records, ctx)).is_err() {
-                    return Ok(Response::Error {
-                        message: "ingest queue closed".to_string(),
-                    });
-                }
-                shared.metrics.submitted.add(n);
-            }
-            Response::Ack {
-                submitted: shared.metrics.submitted.get(),
-            }
-        }
-        frame::OP_FLUSH => {
-            trailing(&r)?;
-            let target = shared.metrics.submitted.get();
-            while shared.metrics.applied.get() < target {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(500));
-            }
-            let current = shared.current.load();
-            Response::Flushed {
-                generation: current.seq,
-                applied: shared.metrics.applied.get(),
-            }
-        }
-        frame::OP_SYNC => {
-            let from = r.read_u64()?;
-            trailing(&r)?;
-            let (reply, reply_rx) = bounded(1);
-            if tx.send(Job::Sync { from, reply }).is_err() {
-                return Ok(Response::Error {
-                    message: "ingest queue closed".to_string(),
-                });
-            }
-            reply_rx.recv().unwrap_or_else(|_| Response::Error {
-                message: "sync worker unavailable".to_string(),
-            })
-        }
-        frame::OP_RESTORE => {
-            let (position, snapshot, tail) = frame::read_state_body(&mut r)?;
-            trailing(&r)?;
-            let (reply, reply_rx) = bounded(1);
-            let job = Job::Restore(Box::new(RestoreJob {
-                snapshot,
-                tail,
-                position,
-                reply,
-            }));
-            if tx.send(job).is_err() {
-                return Ok(Response::Error {
-                    message: "ingest queue closed".to_string(),
-                });
-            }
-            reply_rx.recv().unwrap_or_else(|_| Response::Error {
-                message: "restore worker unavailable".to_string(),
-            })
-        }
-        other => unreachable!("opcode {other:#04x} filtered by the caller"),
-    })
-}
-
-fn accept_loop(listener: TcpListener, addr: SocketAddr, shared: Arc<Shared>, tx: Sender<Job>) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match stream {
-            Ok(stream) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            // EMFILE and friends: this listener keeps failing until an
-            // fd frees up, so back off instead of spinning on it
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(20));
-                continue;
-            }
-        };
-        let shared = Arc::clone(&shared);
-        let tx = tx.clone();
-        std::thread::spawn(move || handle_connection(stream, addr, shared, tx));
-    }
-}
-
-fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: Arc<Shared>, tx: Sender<Job>) {
-    // one small JSON line per response: never hold it back for Nagle
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    shared.metrics.conn_accepted.inc();
-    shared.metrics.conn_open.inc();
-    // requests are handled inline here, so there is no queue wait
-    let meta = nio::RequestMeta::direct(stream.peer_addr().ok());
-    let mut writer = stream;
-    let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
-    let mut raw = Vec::new();
-    loop {
-        // peek one byte to pick this request's format — the same
-        // per-message autodetect the readiness front-end does
-        let first = match reader.fill_buf() {
-            Ok([]) => break, // EOF
-            Ok(buf) => buf[0],
-            Err(_) => break,
-        };
-        let (bytes, done) = if first == frame::FRAME_MAGIC {
-            if frame::read_frame(&mut reader, &mut raw).is_err() {
-                break;
-            }
-            let (out, close) = handle_frame(&raw, &shared, &tx, &meta);
-            (out, close)
-        } else {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => break,
-                Ok(_) => {}
-                Err(_) => break, // invalid UTF-8 tears the conn down
-            }
-            // strip the terminator the way `BufRead::lines` does
-            if line.ends_with('\n') {
-                line.pop();
-                if line.ends_with('\r') {
-                    line.pop();
+    /// Execute one request against the backend — the only function in
+    /// this tier that matches on [`Request`] variants. Every wire decodes
+    /// to the same `Request`, so nothing below is format-specific.
+    fn dispatch(&self, _conn: &mut (), request: Request, ctx: Option<TraceContext>) -> Response {
+        let (shared, tx) = (&*self.shared, &self.tx);
+        match request {
+            Request::Lookup { identifier } => {
+                let current = shared.current.load();
+                Response::Entry {
+                    generation: current.seq,
+                    entry: current.lookup(&identifier).cloned(),
                 }
             }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let (body, close) = handle_line(&line, &shared, &tx, addr, &meta);
-            let mut out = body.into_bytes();
-            out.push(b'\n');
-            (out, close)
-        };
-        if writer
-            .write_all(&bytes)
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            break;
-        }
-        if done || shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-    }
-    shared.metrics.conn_open.dec();
-}
-
-fn dispatch(
-    request: Request,
-    shared: &Shared,
-    tx: &Sender<Job>,
-    addr: SocketAddr,
-    ctx: Option<TraceContext>,
-) -> Response {
-    match request {
-        Request::Lookup { identifier } => {
-            let current = shared.current.load();
-            Response::Entry {
-                generation: current.seq,
-                entry: current.lookup(&identifier).cloned(),
-            }
-        }
-        Request::Filter {
-            attribute,
-            min,
-            max,
-            limit,
-        } => {
-            let current = shared.current.load();
-            let entries: Vec<_> = current
-                .catalog
-                .filter(&attribute, |v| {
-                    v.base_magnitude().is_some_and(|m| {
-                        min.is_none_or(|lo| m >= lo) && max.is_none_or(|hi| m <= hi)
+            Request::Filter {
+                attribute,
+                min,
+                max,
+                limit,
+            } => {
+                let current = shared.current.load();
+                let entries: Vec<_> = current
+                    .catalog
+                    .filter(&attribute, |v| {
+                        v.base_magnitude().is_some_and(|m| {
+                            min.is_none_or(|lo| m >= lo) && max.is_none_or(|hi| m <= hi)
+                        })
                     })
+                    .take(limit.unwrap_or(100))
+                    .cloned()
+                    .collect();
+                Response::Entries {
+                    generation: current.seq,
+                    entries,
+                }
+            }
+            Request::TopK { attribute, k } => {
+                let current = shared.current.load();
+                let entries: Vec<_> = current
+                    .catalog
+                    .top_k_by(&attribute, k)
+                    .into_iter()
+                    .cloned()
+                    .collect();
+                Response::Entries {
+                    generation: current.seq,
+                    entries,
+                }
+            }
+            Request::Ingest { record } => {
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    return Response::Error {
+                        message: "shutting down".to_string(),
+                    };
+                }
+                match tx.send(Job::Record(record, ctx)) {
+                    Ok(()) => Response::Ack {
+                        submitted: shared.metrics.submitted.inc(),
+                    },
+                    Err(_) => Response::Error {
+                        message: "ingest queue closed".to_string(),
+                    },
+                }
+            }
+            Request::IngestBatch { records } => {
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    return Response::Error {
+                        message: "shutting down".to_string(),
+                    };
+                }
+                shared
+                    .metrics
+                    .ingest_batch_records
+                    .record(records.len() as u64);
+                // one job for the whole batch: the worker appends and
+                // applies it as a single transactional cycle; submitted
+                // moves only after the enqueue succeeds so a concurrent
+                // flush barriers correctly
+                let n = records.len() as u64;
+                if n > 0 {
+                    if tx.send(Job::Batch(records, ctx)).is_err() {
+                        return Response::Error {
+                            message: "ingest queue closed".to_string(),
+                        };
+                    }
+                    shared.metrics.submitted.add(n);
+                }
+                Response::Ack {
+                    submitted: shared.metrics.submitted.get(),
+                }
+            }
+            Request::Flush => {
+                let target = shared.metrics.submitted.get();
+                while shared.metrics.applied.get() < target {
+                    if shared.shutdown.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_micros(500));
+                }
+                let current = shared.current.load();
+                Response::Flushed {
+                    generation: current.seq,
+                    applied: shared.metrics.applied.get(),
+                }
+            }
+            Request::Stats => {
+                let current = shared.current.load();
+                let m = &shared.metrics;
+                Response::Stats(StatsBody {
+                    generation: current.seq,
+                    products: current.catalog.len(),
+                    records: current.records,
+                    submitted: m.submitted.get(),
+                    applied: m.applied.get(),
+                    rejected: m.rejected.get(),
+                    comparisons: m.comparisons.get(),
+                    shards: shared.shards,
+                    durable: shared.durable,
+                    wal_position: m.wal_position.get(),
+                    wal_synced: m.wal_synced.get(),
+                    wal_tail: m.wal_tail.get(),
+                    snapshot_records: m.snapshot_records.get(),
+                    snapshot_generation: m.snapshot_generation.get(),
+                    latency: Some(shared.core.latency_summary()),
                 })
-                .take(limit.unwrap_or(100))
-                .cloned()
-                .collect();
-            Response::Entries {
-                generation: current.seq,
-                entries,
             }
-        }
-        Request::TopK { attribute, k } => {
-            let current = shared.current.load();
-            let entries: Vec<_> = current
-                .catalog
-                .top_k_by(&attribute, k)
-                .into_iter()
-                .cloned()
-                .collect();
-            Response::Entries {
-                generation: current.seq,
-                entries,
+            Request::Metrics => {
+                Response::Metrics(MetricsBody::from(shared.metrics.registry.snapshot()))
             }
-        }
-        Request::Ingest { record } => {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return Response::Error {
-                    message: "shutting down".to_string(),
-                };
+            Request::Shutdown => {
+                shared.shutdown.store(true, Ordering::SeqCst);
+                // unblock the accept loop so it observes the flag
+                let _ = TcpStream::connect(self.addr);
+                Response::Bye
             }
-            match tx.send(Job::Record(record, ctx)) {
-                Ok(()) => Response::Ack {
-                    submitted: shared.metrics.submitted.inc(),
-                },
-                Err(_) => Response::Error {
-                    message: "ingest queue closed".to_string(),
-                },
-            }
-        }
-        Request::IngestBatch { records } => {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return Response::Error {
-                    message: "shutting down".to_string(),
-                };
-            }
-            shared
-                .metrics
-                .ingest_batch_records
-                .record(records.len() as u64);
-            // one job for the whole batch: the worker appends and
-            // applies it as a single transactional cycle; submitted
-            // moves only after the enqueue succeeds so a concurrent
-            // flush barriers correctly
-            let n = records.len() as u64;
-            if n > 0 {
-                if tx.send(Job::Batch(records, ctx)).is_err() {
+            Request::Hello => Response::Hello {
+                version: PROTOCOL_VERSION,
+                features: FEATURES.iter().map(|f| (*f).to_string()).collect(),
+            },
+            Request::Sync { from } => {
+                let (reply, reply_rx) = bounded(1);
+                if tx.send(Job::Sync { from, reply }).is_err() {
                     return Response::Error {
                         message: "ingest queue closed".to_string(),
                     };
                 }
-                shared.metrics.submitted.add(n);
-            }
-            Response::Ack {
-                submitted: shared.metrics.submitted.get(),
-            }
-        }
-        Request::Flush => {
-            let target = shared.metrics.submitted.get();
-            while shared.metrics.applied.get() < target {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(500));
-            }
-            let current = shared.current.load();
-            Response::Flushed {
-                generation: current.seq,
-                applied: shared.metrics.applied.get(),
-            }
-        }
-        Request::Stats => {
-            let current = shared.current.load();
-            let m = &shared.metrics;
-            let latency = COMMAND_KINDS
-                .iter()
-                .enumerate()
-                .filter_map(|(slot, kind)| {
-                    let snap = m.request_ns[slot].snapshot();
-                    (snap.count > 0).then(|| {
-                        (
-                            (*kind).to_string(),
-                            CommandLatency {
-                                count: snap.count,
-                                p50_us: snap.quantile(0.5) / 1_000,
-                                p99_us: snap.quantile(0.99) / 1_000,
-                            },
-                        )
-                    })
+                reply_rx.recv().unwrap_or_else(|_| Response::Error {
+                    message: "sync worker unavailable".to_string(),
                 })
-                .collect();
-            Response::Stats(StatsBody {
-                generation: current.seq,
-                products: current.catalog.len(),
-                records: current.records,
-                submitted: m.submitted.get(),
-                applied: m.applied.get(),
-                rejected: m.rejected.get(),
-                comparisons: m.comparisons.get(),
-                shards: shared.shards,
-                durable: shared.durable,
-                wal_position: m.wal_position.get(),
-                wal_synced: m.wal_synced.get(),
-                wal_tail: m.wal_tail.get(),
-                snapshot_records: m.snapshot_records.get(),
-                snapshot_generation: m.snapshot_generation.get(),
-                latency: Some(latency),
-            })
-        }
-        Request::Metrics => {
-            Response::Metrics(MetricsBody::from(shared.metrics.registry.snapshot()))
-        }
-        Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            // unblock the accept loop so it observes the flag
-            let _ = TcpStream::connect(addr);
-            Response::Bye
-        }
-        Request::Hello => Response::Hello {
-            version: PROTOCOL_VERSION,
-            features: FEATURES
-                .iter()
-                .filter(|f| shared.binary_wire || **f != FEATURE_BINARY)
-                .map(|f| (*f).to_string())
-                .collect(),
-        },
-        Request::Sync { from } => {
-            let (reply, reply_rx) = bounded(1);
-            if tx.send(Job::Sync { from, reply }).is_err() {
-                return Response::Error {
-                    message: "ingest queue closed".to_string(),
-                };
             }
-            reply_rx.recv().unwrap_or_else(|_| Response::Error {
-                message: "sync worker unavailable".to_string(),
-            })
-        }
-        Request::Restore {
-            snapshot,
-            tail,
-            position,
-        } => {
-            let (reply, reply_rx) = bounded(1);
-            let job = Job::Restore(Box::new(RestoreJob {
+            Request::Restore {
                 snapshot,
                 tail,
                 position,
-                reply,
-            }));
-            if tx.send(job).is_err() {
-                return Response::Error {
-                    message: "ingest queue closed".to_string(),
-                };
+            } => {
+                let (reply, reply_rx) = bounded(1);
+                let job = Job::Restore(Box::new(RestoreJob {
+                    snapshot,
+                    tail,
+                    position,
+                    reply,
+                }));
+                if tx.send(job).is_err() {
+                    return Response::Error {
+                        message: "ingest queue closed".to_string(),
+                    };
+                }
+                reply_rx.recv().unwrap_or_else(|_| Response::Error {
+                    message: "restore worker unavailable".to_string(),
+                })
             }
-            reply_rx.recv().unwrap_or_else(|_| Response::Error {
-                message: "restore worker unavailable".to_string(),
-            })
+            Request::Trace { id, recent } => {
+                let tracer = &shared.core.tracer;
+                let body = match id {
+                    Some(id) => TraceBody {
+                        spans: tracer.spans(id).into_iter().map(SpanBody::from).collect(),
+                        recent: Vec::new(),
+                    },
+                    None => TraceBody {
+                        spans: Vec::new(),
+                        recent: tracer.recent(recent.unwrap_or(16)),
+                    },
+                };
+                Response::Trace(body)
+            }
+            Request::Split { .. } | Request::Replace { .. } => Response::Error {
+                message: "router-only command: issue it against `bdi route`, not a backend"
+                    .to_string(),
+            },
         }
-        Request::Trace { id, recent } => {
-            let tracer = &shared.tracer;
-            let body = match id {
-                Some(id) => TraceBody {
-                    spans: tracer.spans(id).into_iter().map(SpanBody::from).collect(),
-                    recent: Vec::new(),
-                },
-                None => TraceBody {
-                    spans: Vec::new(),
-                    recent: tracer.recent(recent.unwrap_or(16)),
-                },
-            };
-            Response::Trace(body)
-        }
-        Request::Split { .. } | Request::Replace { .. } => Response::Error {
-            message: "router-only command: issue it against `bdi route`, not a backend".to_string(),
-        },
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.shared.shutdown.load(Ordering::SeqCst)
     }
 }
 

@@ -23,10 +23,6 @@
 //! ```text
 //! [magic "BDISNAP1" 8B][version u8 = 1][snapshot body][crc32 u32 LE]
 //! ```
-//!
-//! Snapshots written by older builds (`snapshot.json`) still load; the
-//! first write after an upgrade replaces them with the binary file and
-//! removes the text one, so a data directory converges.
 
 use crate::engine::{Engine, EngineState};
 use crate::frame;
@@ -38,10 +34,6 @@ use std::path::Path;
 /// File name of the live snapshot inside a data directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 const SNAPSHOT_TMP: &str = "snapshot.bin.tmp";
-/// Legacy JSON snapshot file name — loaded when no binary snapshot
-/// exists, removed once a binary one is written.
-pub const SNAPSHOT_LEGACY_FILE: &str = "snapshot.json";
-const SNAPSHOT_LEGACY_TMP: &str = "snapshot.json.tmp";
 
 /// Magic bytes opening a binary snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"BDISNAP1";
@@ -98,44 +90,24 @@ impl Snapshot {
         }
         std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
         File::open(dir)?.sync_all()?;
-        // the binary file now owns the state: drop a leftover legacy
-        // text snapshot so a rollback cannot resurrect stale state
-        for stale in [SNAPSHOT_LEGACY_FILE, SNAPSHOT_LEGACY_TMP] {
-            let path = dir.join(stale);
-            if path.exists() {
-                std::fs::remove_file(&path)?;
-            }
-        }
         Ok(t0.elapsed())
     }
 
-    /// Load the snapshot from `dir`, if one exists — the binary file
-    /// when present, else a legacy JSON snapshot. A missing file is
+    /// Load the snapshot from `dir`, if one exists. A missing file is
     /// `Ok(None)` (cold start); an unreadable or corrupt file is an
     /// error — silently ignoring it would resurrect a stale state.
     pub fn load(dir: &Path) -> std::io::Result<Option<Snapshot>> {
         let path = dir.join(SNAPSHOT_FILE);
-        if path.exists() {
-            let bytes = std::fs::read(&path)?;
-            return Self::decode_file(&bytes).map(Some).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("corrupt snapshot {}: {e}", path.display()),
-                )
-            });
-        }
-        let legacy = dir.join(SNAPSHOT_LEGACY_FILE);
-        if !legacy.exists() {
+        if !path.exists() {
             return Ok(None);
         }
-        let text = std::fs::read_to_string(&legacy)?;
-        let snapshot: Snapshot = serde_json::from_str(&text).map_err(|e| {
+        let bytes = std::fs::read(&path)?;
+        Self::decode_file(&bytes).map(Some).map_err(|e| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
-                format!("corrupt snapshot {}: {e}", legacy.display()),
+                format!("corrupt snapshot {}: {e}", path.display()),
             )
-        })?;
-        Ok(Some(snapshot))
+        })
     }
 
     /// Decode a binary snapshot file image (header + body + CRC).
@@ -257,40 +229,6 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = Snapshot::load(&dir).unwrap_err();
         assert!(err.to_string().contains("CRC"), "got: {err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_json_snapshot_loads_and_is_replaced_on_write() {
-        let dir = tmp_dir("legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut engine = Engine::new(0.9);
-        for i in 0..4u32 {
-            engine.ingest(rec(i % 2, i, i / 2));
-        }
-        engine.refresh();
-        let snap = Snapshot::capture(&engine, 2);
-        // hand-write the legacy text format an older build would leave
-        std::fs::write(
-            dir.join(SNAPSHOT_LEGACY_FILE),
-            serde_json::to_string(&snap).unwrap(),
-        )
-        .unwrap();
-
-        let loaded = Snapshot::load(&dir).unwrap().expect("legacy loads");
-        assert_eq!(loaded.seq, 2);
-        assert_eq!(loaded.records, 4);
-        let (mut restored, _, _) = loaded.clone().restore_engine().unwrap();
-        assert_eq!(restored.refresh().len(), engine.refresh().len());
-
-        // the next write converges the directory on the binary format
-        loaded.write(&dir).unwrap();
-        assert!(dir.join(SNAPSHOT_FILE).exists());
-        assert!(
-            !dir.join(SNAPSHOT_LEGACY_FILE).exists(),
-            "legacy file removed after the binary write"
-        );
-        assert_eq!(Snapshot::load(&dir).unwrap().unwrap().records, 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

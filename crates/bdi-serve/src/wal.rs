@@ -23,8 +23,7 @@
 //! preallocated tail is load-bearing: a scan knows it has reached the
 //! append point when it sees a zero length field, and every frame's
 //! CRC-32 catches a torn (partially persisted) tail, which is then
-//! zeroed away so the log ends on a record boundary — the binary
-//! analogue of the old torn-line truncation.
+//! zeroed away so the log ends on a record boundary.
 //!
 //! *Positions* are absolute ingest sequence numbers (0-based count of
 //! records ever applied), not file offsets. When a snapshot covering
@@ -34,24 +33,15 @@
 //! stays until a later snapshot covers it entirely, so a reopened log's
 //! physical tail may begin before its last compaction point; recovery
 //! filters replay by position, which makes the straddle harmless.
-//!
-//! Logs written by older builds (JSON lines in `wal.log`) are migrated
-//! to segments on open, preserving base, entries, and torn-tail
-//! handling, so a fleet can be upgraded in place.
 
 use crate::frame;
 use crate::mmap::MmapFile;
 use bdi_obs::{Histogram, Registry};
 use bdi_types::Record;
 use std::fs::File;
-use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// File name of the legacy JSON-lines log inside a data directory —
-/// read (and migrated) but never written by this build.
-pub const WAL_FILE: &str = "wal.log";
 
 /// Segment file prefix; the suffix is the zero-padded base position.
 pub const SEGMENT_PREFIX: &str = "wal-";
@@ -164,8 +154,7 @@ struct SegmentScan {
 
 /// Scan a segment image: validate the header, then walk frames until
 /// the zeroed tail, a CRC mismatch, or the end of the file. Corruption
-/// never errors — it marks the scan torn and stops, mirroring the
-/// torn-line semantics of the legacy text log.
+/// never errors — it marks the scan torn and stops.
 fn scan_segment(bytes: &[u8]) -> std::io::Result<SegmentScan> {
     if bytes.len() < SEGMENT_HEADER || &bytes[..8] != SEGMENT_MAGIC {
         return Err(std::io::Error::new(
@@ -237,7 +226,7 @@ impl Wal {
     /// capacity, reading back any existing entries for replay. Existing
     /// content is preserved; appends continue after the last intact
     /// entry. A torn tail is zeroed away so the log ends on a record
-    /// boundary. A legacy JSON-lines `wal.log` is migrated to segments.
+    /// boundary.
     pub fn open(dir: &Path) -> std::io::Result<WalOpen> {
         Self::open_with_capacity(dir, DEFAULT_SEGMENT_CAPACITY)
     }
@@ -247,10 +236,6 @@ impl Wal {
     /// ring retirement cheaply.
     pub fn open_with_capacity(dir: &Path, capacity: usize) -> std::io::Result<WalOpen> {
         std::fs::create_dir_all(dir)?;
-        let legacy = dir.join(WAL_FILE);
-        if legacy.exists() {
-            return Self::migrate_legacy(dir, capacity, &legacy);
-        }
         let segments = list_segments(dir)?;
         if segments.is_empty() {
             let wal = Self::create_fresh(dir, capacity, 0)?;
@@ -369,31 +354,6 @@ impl Wal {
             capacity,
             scratch: Vec::with_capacity(256),
             metrics: None,
-        })
-    }
-
-    /// Read a legacy JSON-lines log, rebuild it as binary segments,
-    /// and delete the text file. The migrated log keeps the legacy
-    /// base, entries, and torn-tail verdict.
-    fn migrate_legacy(dir: &Path, capacity: usize, legacy: &Path) -> std::io::Result<WalOpen> {
-        let parsed = read_legacy(legacy)?;
-        // stale segments next to a legacy log cannot happen in normal
-        // operation (this build never writes wal.log); prefer the text
-        // log and clear the rest
-        for (_, path) in list_segments(dir)? {
-            std::fs::remove_file(path)?;
-        }
-        let mut wal = Self::create_fresh(dir, capacity, parsed.base)?;
-        for (_, record) in &parsed.entries {
-            wal.append(record)?;
-        }
-        wal.sync()?;
-        std::fs::remove_file(legacy)?;
-        sync_dir(dir)?;
-        Ok(WalOpen {
-            wal,
-            entries: parsed.entries,
-            torn_tail: parsed.torn_tail,
         })
     }
 
@@ -639,29 +599,24 @@ pub fn replay_from(dir: &Path, from: u64) -> std::io::Result<Vec<Record>> {
     if !dir.exists() {
         return Ok(Vec::new());
     }
-    let legacy = dir.join(WAL_FILE);
     let mut entries: Vec<(u64, Record)> = Vec::new();
-    if legacy.exists() {
-        entries = read_legacy(&legacy)?.entries;
-    } else {
-        let mut expected_base: Option<u64> = None;
-        for (name_base, path) in list_segments(dir)? {
-            let bytes = std::fs::read(&path)?;
-            let scan = match scan_segment(&bytes) {
-                Ok(scan) if scan.base == name_base => scan,
-                _ => break,
-            };
-            if expected_base.is_some_and(|e| e != scan.base) {
-                break;
-            }
-            expected_base = Some(scan.base + scan.records.len() as u64);
-            let torn = scan.torn;
-            for (i, record) in scan.records.into_iter().enumerate() {
-                entries.push((scan.base + i as u64, record));
-            }
-            if torn {
-                break;
-            }
+    let mut expected_base: Option<u64> = None;
+    for (name_base, path) in list_segments(dir)? {
+        let bytes = std::fs::read(&path)?;
+        let scan = match scan_segment(&bytes) {
+            Ok(scan) if scan.base == name_base => scan,
+            _ => break,
+        };
+        if expected_base.is_some_and(|e| e != scan.base) {
+            break;
+        }
+        expected_base = Some(scan.base + scan.records.len() as u64);
+        let torn = scan.torn;
+        for (i, record) in scan.records.into_iter().enumerate() {
+            entries.push((scan.base + i as u64, record));
+        }
+        if torn {
+            break;
         }
     }
     Ok(entries
@@ -669,69 +624,6 @@ pub fn replay_from(dir: &Path, from: u64) -> std::io::Result<Vec<Record>> {
         .filter(|(pos, _)| *pos >= from)
         .map(|(_, r)| r)
         .collect())
-}
-
-/// A parsed legacy JSON-lines log.
-struct LegacyLog {
-    base: u64,
-    entries: Vec<(u64, Record)>,
-    torn_tail: bool,
-}
-
-/// Parse a legacy `wal.log`: one header line (`{"wal_base": N}`) then
-/// one serde `Record` JSON object per line. A partial or corrupt tail
-/// line ends replay (torn), matching the original format's semantics.
-fn read_legacy(path: &Path) -> std::io::Result<LegacyLog> {
-    let mut base = 0u64;
-    let mut entries: Vec<(u64, Record)> = Vec::new();
-    let mut torn_tail = false;
-    let mut header_ok = false;
-    let mut reader = BufReader::new(File::open(path)?);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
-            break;
-        }
-        let complete = line.ends_with('\n');
-        let text = line.trim_end();
-        if !header_ok {
-            match parse_header(text) {
-                Some(b) if complete => {
-                    base = b;
-                    header_ok = true;
-                    continue;
-                }
-                _ => {
-                    torn_tail = true;
-                    break;
-                }
-            }
-        }
-        match serde_json::from_str::<Record>(text) {
-            Ok(record) if complete => {
-                entries.push((base + entries.len() as u64, record));
-            }
-            _ => {
-                // partial or corrupt tail: stop replay here
-                torn_tail = true;
-                break;
-            }
-        }
-    }
-    Ok(LegacyLog {
-        base,
-        entries,
-        torn_tail,
-    })
-}
-
-fn parse_header(text: &str) -> Option<u64> {
-    serde_json::parse_value(text)
-        .ok()?
-        .get("wal_base")?
-        .as_u64()
 }
 
 /// fsync a directory so created/unlinked segment entries are durable.
@@ -744,7 +636,6 @@ mod tests {
     use super::*;
     use bdi_types::{RecordId, SourceId};
     use std::fs::OpenOptions;
-    use std::io::Write;
 
     fn rec(i: u32) -> Record {
         let mut r = Record::new(RecordId::new(SourceId(0), i), format!("Gadget{i}"));
@@ -1053,59 +944,6 @@ mod tests {
             8,
             "from 0 is everything"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_json_log_is_migrated_in_place() {
-        let dir = tmp_dir("legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        {
-            let mut f = File::create(dir.join(WAL_FILE)).unwrap();
-            writeln!(f, "{{\"wal_base\": 3}}").unwrap();
-            for i in 3..6 {
-                writeln!(f, "{}", serde_json::to_string(&rec(i)).unwrap()).unwrap();
-            }
-            // torn final line, no newline
-            f.write_all(b"{\"id\": {\"source\": 0, \"se").unwrap();
-        }
-        let opened = Wal::open(&dir).unwrap();
-        assert!(opened.torn_tail, "legacy torn tail is reported");
-        let positions: Vec<u64> = opened.entries.iter().map(|(p, _)| *p).collect();
-        assert_eq!(positions, vec![3, 4, 5]);
-        assert_eq!(opened.wal.base(), 3, "legacy base survives migration");
-        assert_eq!(opened.wal.position(), 6);
-        assert!(
-            !dir.join(WAL_FILE).exists(),
-            "text log is gone after migration"
-        );
-        // the migrated log is a normal binary log from here on
-        let mut wal = opened.wal;
-        assert_eq!(wal.append(&rec(6)).unwrap(), 6);
-        wal.sync().unwrap();
-        drop(wal);
-        let reopened = Wal::open(&dir).unwrap();
-        assert!(!reopened.torn_tail);
-        assert_eq!(reopened.entries.len(), 4);
-        assert_eq!(reopened.entries[3].0, 6);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_empty_file_is_a_fresh_log() {
-        let dir = tmp_dir("empty");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(WAL_FILE), b"").unwrap();
-        let opened = Wal::open(&dir).unwrap();
-        assert_eq!(opened.entries.len(), 0);
-        assert_eq!(opened.wal.base(), 0);
-        assert_eq!(opened.wal.position(), 0);
-        let mut wal = opened.wal;
-        assert_eq!(wal.append(&rec(0)).unwrap(), 0);
-        wal.sync().unwrap();
-        let reopened = Wal::open(&dir).unwrap();
-        assert!(!reopened.torn_tail);
-        assert_eq!(reopened.entries.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

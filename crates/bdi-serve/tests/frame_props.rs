@@ -11,14 +11,20 @@
 //!   checks don't);
 //! * no strict prefix of a frame ever opens (truncation is detected,
 //!   never misread);
+//! * `decode_request` inverts `encode_request` for every command with
+//!   a binary mapping, with and without the trace extension, and
+//!   rejects trailing payload bytes and opcodes that are not requests;
 //! * corrupting a synced WAL at any byte past the segment header
 //!   recovers a clean *prefix* of the appended records and leaves the
 //!   log appendable — the `kill -9` contract, generalized.
 
 use bdi_serve::frame::{
-    encode_ingest_batch, frame_len, open_frame, read_records, Reader, HEADER_LEN, OP_INGEST_BATCH,
+    decode_request, encode_frame_into, encode_ingest_batch, encode_request_traced, frame_len,
+    open_frame, open_frame_traced, put_records, read_records, Reader, HEADER_LEN, OP_ACK, OP_FLUSH,
+    OP_INGEST_BATCH,
 };
 use bdi_serve::wal::{replay_from, Wal};
+use bdi_serve::{Engine, Request, Snapshot};
 use bdi_types::{OrderedF64, Record, RecordId, SourceId, Unit, Value};
 use proptest::prelude::*;
 
@@ -110,7 +116,77 @@ fn batch_from(seeds: &[RecordSeed]) -> Vec<Record> {
     seeds.iter().map(record_from).collect()
 }
 
+/// Encode `request` (with `trace` as the frame extension), open the
+/// frame, decode it back: the same request and the same trace context
+/// must come out. `Request` carries an engine snapshot and so has no
+/// `PartialEq`; its JSON form is a faithful stand-in.
+fn assert_request_roundtrips(request: &Request, trace: Option<(u64, u64)>) {
+    let mut buf = Vec::new();
+    assert!(
+        encode_request_traced(&mut buf, request, trace),
+        "{} has a binary mapping",
+        request.kind()
+    );
+    let (opcode, wire_trace, payload) = open_frame_traced(&buf).expect("own frame opens");
+    assert_eq!(wire_trace, trace, "trace extension survives");
+    let back = decode_request(opcode, payload).expect("own encoding decodes");
+    assert_eq!(
+        serde_json::to_string(&back).unwrap(),
+        serde_json::to_string(request).unwrap(),
+        "{} changed across the binary round trip",
+        request.kind()
+    );
+}
+
 proptest! {
+    #[test]
+    fn request_frames_roundtrip(
+        seeds in proptest::collection::vec(record_seed(), 0..5),
+        from in 0u64..1_000_000,
+        trace in (1u64..u64::MAX, 0u64..u64::MAX),
+    ) {
+        let records = batch_from(&seeds);
+        // a restore ships a real engine snapshot plus a tail
+        let mut engine = Engine::new(0.9);
+        for record in &records {
+            engine.ingest(record.clone());
+        }
+        engine.refresh();
+        let requests = [
+            Request::IngestBatch { records: records.clone() },
+            Request::Flush,
+            Request::Sync { from },
+            Request::Restore {
+                snapshot: Some(Snapshot::capture(&engine, from)),
+                tail: records.clone(),
+                position: from,
+            },
+            Request::Restore { snapshot: None, tail: records, position: from },
+        ];
+        for request in &requests {
+            assert_request_roundtrips(request, None);
+            assert_request_roundtrips(request, Some(trace));
+        }
+    }
+
+    #[test]
+    fn trailing_request_bytes_are_rejected(
+        seeds in proptest::collection::vec(record_seed(), 0..3),
+        extra in 0u64..256,
+    ) {
+        let records = batch_from(&seeds);
+        let mut buf = Vec::new();
+        encode_frame_into(&mut buf, OP_INGEST_BATCH, |b| {
+            put_records(b, &records);
+            b.push(extra as u8);
+        });
+        let (opcode, payload) = open_frame(&buf).expect("well-formed frame");
+        prop_assert!(decode_request(opcode, payload).is_err(), "trailing byte accepted");
+        encode_frame_into(&mut buf, OP_FLUSH, |b| b.push(extra as u8));
+        let (opcode, payload) = open_frame(&buf).expect("well-formed frame");
+        prop_assert!(decode_request(opcode, payload).is_err(), "flush carries no payload");
+    }
+
     #[test]
     fn record_body_roundtrips(seed in record_seed()) {
         let record = record_from(&seed);
@@ -239,6 +315,14 @@ proptest! {
         drop(wal);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Only the four request opcodes decode as requests: a reply opcode or
+/// an unassigned one is an error, never a misread command.
+#[test]
+fn non_request_opcodes_are_rejected() {
+    assert!(decode_request(OP_ACK, &7u64.to_le_bytes()).is_err());
+    assert!(decode_request(0x7F, &[]).is_err());
 }
 
 /// `HEADER_LEN` is load-bearing for the corruption properties: bytes

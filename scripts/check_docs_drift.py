@@ -17,7 +17,8 @@ Cross-checks, in both directions:
   frames" opcode tables with the matching hex value, and the doc
   tables name no opcode the code lacks;
 * the tracing surface: every span name the tracer records (the string
-  literals at `root`/`adopt`/`begin`/`record` call sites) is named in
+  literals at `root`/`adopt`/`begin`/`record` call sites, plus the
+  request-span name each tier hands its `RequestCore`) is named in
   PROTOCOL.md's span vocabulary, the `trace-context` feature string
   and `FLAG_TRACE` bit match between code and PROTOCOL.md, and the
   `X-Bdi-Trace` header is documented in HTTP_API.md;
@@ -178,6 +179,10 @@ for src in serve_sources:
     )
     # the engine-stage names are fed to record() from a (name, ns) array
     span_names.update(re.findall(r'\(\s*"([a-z][a-z_.]+)",\s*timings\.', src))
+    # each tier names its request span where it builds its request core
+    span_names.update(
+        re.findall(r'RequestCore::new\([^;]*?"([a-z]+\.request)"', src, re.DOTALL)
+    )
 check(
     len(span_names) >= 12,
     f"suspiciously few tracer span names found in bdi-serve: {sorted(span_names)}",

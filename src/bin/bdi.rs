@@ -79,8 +79,8 @@ USAGE:
   bdi lookup    (--in DIR | --seed N) --id IDENTIFIER
   bdi serve     [--addr HOST:PORT] [--http HOST:PORT] [--in DIR | --seed N [--entities N] [--sources N]]
                 [--threshold X] [--queue N] [--shards N] [--engine-threads N]
-                [--workers N] [--threaded] [--no-binary]
-                [--data-dir DIR [--sync-interval N] [--snapshot-every N] | --no-wal]
+                [--workers N]
+                [--data-dir DIR [--sync-interval N] [--snapshot-every N]]
                 [--metrics-file PATH [--metrics-interval SECS]] [--slow-ms MS]
                 [--trace-sample N]
   bdi route     --backends HOST:PORT,HOST:PORT,... [--addr HOST:PORT] [--http HOST:PORT]
@@ -96,28 +96,25 @@ USAGE:
   bdi help
 
 Front-end: serve and route accept any number of connections on one
-readiness loop (epoll) with a small dispatch pool (--workers, default
-0 = CPU count); each connection autodetects its protocol from the
-first bytes — JSON lines or HTTP/1.1 (see docs/HTTP_API.md). --http
-binds an extra HTTP-flavored listener on its own port for gateway
-separation; --threaded falls back to the thread-per-connection
-front-end (JSON lines only, benchmark baseline). `bdi load --http`
-drives the load over the HTTP gateway instead of JSON lines.
+readiness loop (epoll) with a dispatch pool of --workers threads
+(default 0 = one worker); each connection autodetects its protocol
+from the first bytes — JSON lines or HTTP/1.1 (see docs/HTTP_API.md).
+--http binds an extra HTTP-flavored listener on its own port for
+gateway separation. `bdi load --http` drives the load over the HTTP
+gateway instead of JSON lines.
 
 Binary frames: servers and routers advertise the `binary-frames`
 feature on `hello`; peers that see it ship the hot write-path commands
 (ingest_batch, flush, sync, restore) as length-framed binary records
-instead of JSON lines (see docs/PROTOCOL.md). `bdi serve --no-binary`
-withdraws the feature, pinning every peer of that backend to JSON.
-`bdi load --binary` asks the load driver to negotiate the upgrade for
-its ingest stream (it falls back to JSON against a --no-binary
-server).
+instead of JSON lines (see docs/PROTOCOL.md). `bdi load --binary` asks
+the load driver to negotiate the upgrade for its ingest stream (it
+stays on JSON against a peer that does not advertise the feature).
 
 Durability: --data-dir enables the write-ahead log and generation
 snapshots; restarting with the same directory recovers the ingested
 state. --sync-interval batches fsyncs (records per fsync, default 64);
---snapshot-every bounds the WAL tail before compaction (default 4096);
---no-wal forces purely in-memory serving.
+--snapshot-every bounds the WAL tail before compaction (default 4096).
+Without --data-dir the server is purely in-memory.
 
 Sharding: bdi route hash-partitions ingest across its --backends (all
 started with the same --threshold) over pipelined, batched connections
@@ -163,10 +160,8 @@ fn parse_opts(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, Str
         };
         // `--http` is a boolean for `load` (drive the server over HTTP)
         // but takes a bind address for `serve`/`route`.
-        let boolean = matches!(
-            key,
-            "json" | "no-wal" | "prometheus" | "hello" | "threaded" | "no-binary" | "binary"
-        ) || (key == "http" && cmd == "load");
+        let boolean = matches!(key, "json" | "prometheus" | "hello" | "binary")
+            || (key == "http" && cmd == "load");
         if boolean {
             out.insert(key.to_string(), "true".to_string());
             continue;
@@ -291,12 +286,12 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
         Vec::new()
     };
     let durability = match opts.get("data-dir") {
-        Some(dir) if !opts.contains_key("no-wal") => Some(bdi::serve::DurabilityConfig {
+        Some(dir) => Some(bdi::serve::DurabilityConfig {
             data_dir: dir.into(),
             sync_every: num(opts, "sync-interval", 64usize)?,
             snapshot_every: num(opts, "snapshot-every", 4096u64)?,
         }),
-        _ => None,
+        None => None,
     };
     let durable = durability.is_some();
     let metrics_file = opts.get("metrics-file").map(std::path::PathBuf::from);
@@ -323,12 +318,6 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
         trace_sample: num(opts, "trace-sample", 0u64)?,
         http_addr: opts.get("http").cloned(),
         workers: num(opts, "workers", 0usize)?,
-        front_end: if opts.contains_key("threaded") {
-            bdi::serve::FrontEndKind::Threaded
-        } else {
-            bdi::serve::FrontEndKind::Readiness
-        },
-        binary_wire: !opts.contains_key("no-binary"),
         ..Default::default()
     };
     let server = bdi::serve::Server::start(cfg).map_err(|e| e.to_string())?;

@@ -8,7 +8,7 @@
 //! than the number of lookups issued is a bug, not jitter.
 
 use bdi::obs::expo;
-use bdi::serve::{Client, Server, ServerConfig};
+use bdi::serve::{Client, HttpClient, Server, ServerConfig};
 use bdi::synth::{World, WorldConfig};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -124,6 +124,32 @@ fn metrics_account_for_every_request_and_expose_prometheus() {
     let final_text = std::fs::read_to_string(&metrics_path).unwrap();
     expo::validate(&final_text).expect("final metrics file is valid");
     let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// The request core is shared by every wire: a command that arrives
+/// over HTTP lands in the same per-command histograms (and the same
+/// `stats.latency` summary) as one that arrives as a JSON line.
+#[test]
+fn http_requests_are_counted_like_wire_requests() {
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut http = HttpClient::connect(server.addr()).unwrap();
+    const LOOKUPS: u64 = 9;
+    for i in 0..LOOKUPS {
+        assert!(http.lookup(&format!("PROBE-{i}")).unwrap().is_none());
+    }
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    let body = client.metrics().unwrap();
+    let count_of = |name: &str| body.histograms.get(name).map_or(0, |h| h.count);
+    assert_eq!(count_of("serve.request.lookup.latency_ns"), LOOKUPS);
+    assert_eq!(count_of("serve.request.lookup.bytes"), LOOKUPS);
+    // a miss is a 404 to the HTTP client but not a failed command
+    assert_eq!(body.counters["serve.request.errors"], 0);
+    let latency = client.stats().unwrap().latency.expect("summary present");
+    assert_eq!(latency["lookup"].count, LOOKUPS);
+
+    client.shutdown().unwrap();
+    server.wait();
 }
 
 #[test]

@@ -3,18 +3,22 @@
 //! hop — gateway, router partition/lane, backend dispatch, engine
 //! stages, WAL — with correct parent links, on both wire formats.
 //!
-//! Four pins:
+//! Five pins:
 //!
 //! 1. **HTTP ingest through a 2-shard router**: the `X-Bdi-Trace`
 //!    header forces a trace; `GET /trace/:id` (router-merged) holds one
-//!    tree whose hop spans parent-link gateway → lane → backend →
-//!    engine/WAL, with both shards represented.
+//!    tree whose hop spans parent-link gateway → router request → lane
+//!    → backend request → engine/WAL, with both shards represented.
 //! 2. **Slow exemplars survive sampling**: at 1-in-N sampling with a
 //!    huge N, `--slow-ms` still retains a full trace of each slow
 //!    request.
 //! 3. **Wire equivalence**: the same traced batch over binary frames
 //!    and over JSON lines records identical span-name multisets.
-//! 4. **Old peers**: a client that never negotiated `trace-context`
+//! 4. **One tree shape on every wire**: an HTTP request to a bare
+//!    backend records `http.request → serve.request`, the same
+//!    `serve.request` span (with its `queue.wait` child) a JSON line or
+//!    binary frame gets.
+//! 5. **Old peers**: a client that never negotiated `trace-context`
 //!    sends byte-identical pre-flag frames (flags byte 0) and its
 //!    requests leave no retained trace.
 
@@ -119,10 +123,18 @@ fn traced_http_ingest_reassembles_one_tree_across_the_fleet() {
         spans.iter().filter(|(n, ..)| n == name).collect()
     };
 
-    // router hop: one partition decision per record, under the root
+    // router hop: the request span every wire gets, under the gateway,
+    // and one partition decision per record under it
+    let routes = by_name("route.request");
+    assert_eq!(routes.len(), 1, "one router request span");
+    let (_, route_id, route_parent, _) = routes[0];
+    assert_eq!(
+        *route_parent, root.span.span,
+        "request hangs off the gateway"
+    );
     assert_eq!(count("route.partition"), n);
     for (_, _, parent, _) in by_name("route.partition") {
-        assert_eq!(*parent, root.span.span, "partition hangs off the gateway");
+        assert_eq!(parent, route_id, "partition hangs off the router request");
     }
     // per-item lane wait + per-send lane batch, both shards visited
     assert_eq!(count("lane.queue"), n);
@@ -260,6 +272,37 @@ fn binary_and_json_wires_record_identical_span_trees() {
         binary.iter().any(|n| n == "serve.request") && binary.iter().any(|n| n == "engine.insert"),
         "tree covers dispatch and engine stages: {binary:?}"
     );
+}
+
+/// HTTP is a codec in front of the same request core: the gateway span
+/// parents the backend's ordinary request span instead of replacing it.
+#[test]
+fn http_gateway_span_parents_the_backend_request_span() {
+    let server = Server::start(ServerConfig::default()).expect("server binds");
+    let trace_id = 0xabcdu64;
+    let mut http = HttpClient::connect(server.addr()).expect("gateway connects");
+    http.set_trace_header(Some(format!("{trace_id:016x}")));
+    http.ingest(&rec(5, 0, "Gateway", "GATE-0"))
+        .expect("traced ingest acks");
+    http.set_trace_header(None);
+    http.flush().expect("flush");
+
+    let tree = http.trace(trace_id).expect("GET /trace/:id");
+    assert_eq!(tree.roots.len(), 1, "one tree: {tree:?}");
+    let root = &tree.roots[0];
+    assert_eq!(root.span.name, "http.request");
+    let requests: Vec<&TraceTreeNode> = root
+        .children
+        .iter()
+        .filter(|c| c.span.name == "serve.request")
+        .collect();
+    assert_eq!(requests.len(), 1, "gateway parents one request span");
+    assert_eq!(requests[0].span.cmd, "ingest");
+    assert!(
+        names_of(&tree).iter().any(|n| n == "engine.insert"),
+        "engine stages hang below the request span"
+    );
+    server.shutdown();
 }
 
 /// Peers that never negotiated `trace-context` stay byte-compatible:
