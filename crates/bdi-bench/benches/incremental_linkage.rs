@@ -1,17 +1,10 @@
 //! E9 (perf view): per-record insert cost of the incremental linker.
-//!
-//! The criterion pass gives the statistical view; a manual timing pass
-//! then persists inserts/s and comparisons-per-insert into the
-//! `linkage` section of `BENCH_serve.json` so the fingerprint fast
-//! path's effect diffs against the committed baseline.
 
-use bdi_bench::bench_json::{num_f, num_u, obj, update_section};
 use bdi_bench::worlds;
 use bdi_linkage::incremental::IncrementalLinker;
 use bdi_linkage::matcher::IdentifierRule;
 use bdi_synth::World;
-use criterion::{black_box, criterion_group, Criterion};
-use std::time::Instant;
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_incremental(c: &mut Criterion) {
     let w = World::generate(worlds::linkage_world(91, 300, 15));
@@ -33,37 +26,4 @@ criterion_group! {
     targets = bench_incremental
 }
 
-/// Time one full-corpus insert run and persist the throughput numbers.
-fn linkage_json() {
-    let w = World::generate(worlds::linkage_world(91, 300, 15));
-    let records: Vec<_> = w.dataset.records().to_vec();
-    let mut linker = IncrementalLinker::for_products(IdentifierRule::default(), 0.9);
-    let t = Instant::now();
-    for r in &records {
-        linker.insert(black_box(r.clone()));
-    }
-    let secs = t.elapsed().as_secs_f64();
-    let comparisons = linker.comparisons();
-    let inserts_per_sec = records.len() as f64 / secs.max(1e-9);
-    let cmp_per_insert = comparisons as f64 / records.len().max(1) as f64;
-    println!(
-        "linkage json: {} records, {:.0} inserts/s, {:.1} comparisons/insert",
-        records.len(),
-        inserts_per_sec,
-        cmp_per_insert
-    );
-    update_section(
-        "linkage",
-        obj(&[
-            ("records", num_u(records.len() as u64)),
-            ("inserts_per_sec", num_f(inserts_per_sec)),
-            ("comparisons", num_u(comparisons)),
-            ("comparisons_per_insert", num_f(cmp_per_insert)),
-        ]),
-    );
-}
-
-fn main() {
-    benches();
-    linkage_json();
-}
+criterion_main!(benches);

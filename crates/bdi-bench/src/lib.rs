@@ -6,7 +6,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bench_json;
 pub mod experiments;
 pub mod table;
 pub mod worlds;

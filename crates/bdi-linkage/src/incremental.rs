@@ -14,23 +14,6 @@ use crate::matcher::Matcher;
 use bdi_types::{Record, RecordId};
 use std::collections::HashMap;
 
-/// Candidate lists shorter than this are always scored sequentially:
-/// below it, thread spawn overhead exceeds the scoring work.
-const SCORE_PARALLEL_CUTOFF: usize = 64;
-
-/// Outcome of classifying one candidate during the (possibly parallel)
-/// scoring phase. Only filters that need no union-find state run there;
-/// the root-skip filter is applied in the sequential drain.
-enum CandidateVerdict {
-    /// Same source as the arrival — never compared (unchanged rule).
-    SameSource,
-    /// `Matcher::score_bound` fell below the threshold: provably
-    /// sub-threshold, skipped without scoring.
-    BoundPruned,
-    /// Survived the bound filter; carries the true matcher score.
-    Scored(f64),
-}
-
 /// Online record linker.
 pub struct IncrementalLinker<M> {
     matcher: M,
@@ -64,10 +47,6 @@ pub struct IncrementalLinker<M> {
     pruned_bound: u64,
     /// Posting-list entries dropped by the hot-key cap.
     postings_skipped: u64,
-    /// Worker threads for candidate scoring (1 = sequential). Scoring
-    /// fans out; unions are always applied sequentially in ascending
-    /// candidate order, so results are identical at every thread count.
-    threads: usize,
 }
 
 impl<M: Matcher> IncrementalLinker<M> {
@@ -92,7 +71,6 @@ impl<M: Matcher> IncrementalLinker<M> {
             pruned_root: 0,
             pruned_bound: 0,
             postings_skipped: 0,
-            threads: 1,
         }
     }
 
@@ -103,17 +81,6 @@ impl<M: Matcher> IncrementalLinker<M> {
             threshold,
             vec![BlockingKey::IdentifierDigits, BlockingKey::TitleTokens],
         )
-    }
-
-    /// Use `threads` worker threads for candidate scoring when a
-    /// candidate list is large enough to amortize the fan-out. The
-    /// clustering outcome (traces, roots, comparison counts) is
-    /// **identical** at every thread count: only score computation is
-    /// parallel, and unions are applied in candidate order.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "need at least one thread");
-        self.threads = threads;
-        self
     }
 
     /// Enable or disable admissible candidate pruning (on by default).
@@ -190,90 +157,46 @@ impl<M: Matcher> IncrementalLinker<M> {
         cand.dedup();
         let t_candidates = t0.elapsed();
 
-        // score (possibly fanned out over threads), then union
-        // sequentially in ascending candidate order — the same order the
-        // sequential loop uses, so traces are bit-identical at every
-        // thread count. Pruning applies two admissible filters per
-        // candidate, in a fixed order shared by both paths:
+        // score and union in ascending candidate order. Pruning applies
+        // two admissible filters per candidate, interleaved with scoring
+        // so a pruned candidate costs no matcher work at all:
         //   1. root-skip — the candidate's root already equals the
         //      arriving record's root, so a match could only re-union an
         //      existing component (idempotent: outcome unchanged);
         //   2. score bound — `Matcher::score_bound` (>= the true score
         //      by contract) falls below the threshold, so the candidate
         //      provably cannot match.
-        // The sequential path interleaves the filters with scoring so a
-        // pruned candidate costs no matcher work at all; the parallel
-        // path applies the bound filter inside the fan-out (it needs no
-        // union state) and the root filter in the sequential drain.
         let t1 = std::time::Instant::now();
         let mut compared = 0;
         let mut pruned_root = 0u64;
         let mut pruned_bound = 0u64;
         let mut merged_roots: Vec<usize> = Vec::new();
-        let spawn_threads = self.threads.min(crate::parallel::default_threads());
-        let t_scoring;
-        let t2;
-        if spawn_threads > 1 && cand.len() >= SCORE_PARALLEL_CUTOFF {
-            let verdicts = self.score_candidates(&cand, &record, &fp, spawn_threads);
-            t_scoring = t1.elapsed();
-            t2 = std::time::Instant::now();
-            for (&c, verdict) in cand.iter().zip(&verdicts) {
-                let s = match verdict {
-                    CandidateVerdict::SameSource => continue,
-                    CandidateVerdict::BoundPruned => {
-                        // the sequential path checks the root filter
-                        // first, so a candidate failing both counts as
-                        // root-pruned there — mirror that here
-                        if self.prune && self.uf.find(c) == self.uf.find(idx) {
-                            pruned_root += 1;
-                        } else {
-                            pruned_bound += 1;
-                        }
-                        continue;
-                    }
-                    CandidateVerdict::Scored(s) => {
-                        if self.prune && self.uf.find(c) == self.uf.find(idx) {
-                            pruned_root += 1;
-                            continue;
-                        }
-                        *s
-                    }
-                };
-                compared += 1;
-                if s >= self.threshold {
-                    // Record the candidate's pre-union root: any root
-                    // that is not the final one was absorbed by this
-                    // insert.
-                    merged_roots.push(self.uf.find(c));
-                    self.uf.union(c, idx);
-                }
+        let arriving = PreparedRecord::new(&record, &fp);
+        for &c in &cand {
+            let other = &self.records[c];
+            if other.id.source == record.id.source {
+                continue; // same-source skip
             }
-        } else {
-            let arriving = PreparedRecord::new(&record, &fp);
-            for &c in &cand {
-                let other = &self.records[c];
-                if other.id.source == record.id.source {
-                    continue; // same-source skip
-                }
-                if self.prune && self.uf.find(c) == self.uf.find(idx) {
-                    pruned_root += 1;
-                    continue;
-                }
-                let prepared = PreparedRecord::new(other, &self.fingerprints[c]);
-                if self.prune && self.matcher.score_bound(prepared, arriving) < self.threshold {
-                    pruned_bound += 1;
-                    continue;
-                }
-                let s = self.matcher.score_prepared(prepared, arriving);
-                compared += 1;
-                if s >= self.threshold {
-                    merged_roots.push(self.uf.find(c));
-                    self.uf.union(c, idx);
-                }
+            if self.prune && self.uf.find(c) == self.uf.find(idx) {
+                pruned_root += 1;
+                continue;
             }
-            t_scoring = t1.elapsed();
-            t2 = std::time::Instant::now();
+            let prepared = PreparedRecord::new(other, &self.fingerprints[c]);
+            if self.prune && self.matcher.score_bound(prepared, arriving) < self.threshold {
+                pruned_bound += 1;
+                continue;
+            }
+            let s = self.matcher.score_prepared(prepared, arriving);
+            compared += 1;
+            if s >= self.threshold {
+                // Record the candidate's pre-union root: any root that
+                // is not the final one was absorbed by this insert.
+                merged_roots.push(self.uf.find(c));
+                self.uf.union(c, idx);
+            }
         }
+        let t_scoring = t1.elapsed();
+        let t2 = std::time::Instant::now();
         self.comparisons += compared as u64;
         self.pruned_root += pruned_root;
         self.pruned_bound += pruned_bound;
@@ -307,48 +230,6 @@ impl<M: Matcher> IncrementalLinker<M> {
                 union_ns: saturating_ns(t2.elapsed()),
             },
         )
-    }
-
-    /// Classify and score the arriving record against each candidate on
-    /// `threads` worker threads. Index-aligned with `cand`; chunk
-    /// results concatenate in order, so the output is independent of
-    /// the thread count. The score-bound filter runs inside the fan-out
-    /// (it reads only fingerprints, never union state); the root-skip
-    /// filter needs live union state and is applied by the caller's
-    /// sequential drain.
-    fn score_candidates(
-        &self,
-        cand: &[usize],
-        record: &Record,
-        fp: &RecordFingerprint,
-        threads: usize,
-    ) -> Vec<CandidateVerdict> {
-        let arriving = PreparedRecord::new(record, fp);
-        let score_one = |&c: &usize| -> CandidateVerdict {
-            let other = &self.records[c];
-            if other.id.source == record.id.source {
-                return CandidateVerdict::SameSource;
-            }
-            let other = PreparedRecord::new(other, &self.fingerprints[c]);
-            if self.prune && self.matcher.score_bound(other, arriving) < self.threshold {
-                return CandidateVerdict::BoundPruned;
-            }
-            CandidateVerdict::Scored(self.matcher.score_prepared(other, arriving))
-        };
-        let chunk_size = cand.len().div_ceil(threads);
-        let mut results: Vec<Vec<CandidateVerdict>> = Vec::with_capacity(threads);
-        crossbeam::thread::scope(|scope| {
-            let score_one = &score_one;
-            let handles: Vec<_> = cand
-                .chunks(chunk_size)
-                .map(|chunk| scope.spawn(move |_| chunk.iter().map(score_one).collect::<Vec<_>>()))
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("scoring thread panicked"));
-            }
-        })
-        .expect("thread scope failed");
-        results.into_iter().flatten().collect()
     }
 
     /// Total pairwise comparisons performed so far.
@@ -498,7 +379,6 @@ impl<M: Matcher> IncrementalLinker<M> {
             pruned_root: 0,
             pruned_bound: 0,
             postings_skipped: 0,
-            threads: 1,
         })
     }
 }
@@ -528,14 +408,11 @@ pub struct InsertTimings {
     /// Fingerprinting the arrival plus collecting candidates from the
     /// blocking index (key extraction, posting-list union, dedup).
     pub candidates_ns: u64,
-    /// Scoring the candidate list. On the sequential path this covers
-    /// the fused prune/score/union loop (pruning interleaves with
-    /// scoring so skipped candidates cost no matcher work); on the
-    /// parallel path it covers the fan-out only.
+    /// Scoring the candidate list: the fused prune/score/union loop
+    /// (pruning interleaves with scoring so skipped candidates cost no
+    /// matcher work).
     pub scoring_ns: u64,
-    /// Registering the record into the index, plus — on the parallel
-    /// path — the sequential drain that applies unions in candidate
-    /// order.
+    /// Registering the record into the index.
     pub union_ns: u64,
 }
 
@@ -733,53 +610,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scoring_identical_traces_at_every_thread_count() {
-        // 96 records sharing one title token from alternating sources so
-        // the final inserts see a candidate list past the parallel
-        // cutoff; traces must agree bit-for-bit at 1, 2 and 8 threads.
-        let corpus: Vec<Record> = (0..96u32)
-            .map(|i| {
-                rec(
-                    i % 4,
-                    i,
-                    &format!("Gadget{} common widget", i / 8),
-                    Some(&format!("XXX-YYY-{:05}", i / 8)),
-                )
-            })
-            .collect();
-        let run = |threads: usize| {
-            let mut linker = IncrementalLinker::for_products(IdentifierRule::default(), 0.9)
-                .with_threads(threads);
-            let traces: Vec<(usize, usize, usize, Vec<usize>)> = corpus
-                .iter()
-                .cloned()
-                .map(|r| {
-                    let t = linker.insert_traced(r);
-                    (t.compared, t.index, t.cluster, t.absorbed)
-                })
-                .collect();
-            (
-                traces,
-                linker.comparisons(),
-                (linker.pruned_root(), linker.pruned_bound()),
-                linker.clustering().clusters().to_vec(),
-            )
-        };
-        let base = run(1);
-        assert!(
-            base.2 .0 + base.2 .1 > 0,
-            "corpus produced no pruning (else the determinism check is vacuous)"
-        );
-        for threads in [2, 8] {
-            assert_eq!(run(threads), base, "divergence at {threads} threads");
-        }
-    }
-
-    #[test]
     fn pruned_and_unpruned_clusterings_are_identical() {
-        // same adversarial corpus the parallel test uses: shared title
-        // tokens (shared roots), identifier evidence inside groups,
-        // same-source candidates via the source cycle
+        // adversarial corpus: shared title tokens (shared roots),
+        // identifier evidence inside groups, same-source candidates via
+        // the source cycle
         let corpus: Vec<Record> = (0..96u32)
             .map(|i| {
                 rec(
@@ -801,10 +635,15 @@ mod tests {
                     (t.index, t.cluster, t.absorbed)
                 })
                 .collect();
-            (outcomes, linker.clustering().clusters().to_vec())
+            let pruned = linker.pruned_root() + linker.pruned_bound();
+            (outcomes, linker.clustering().clusters().to_vec(), pruned)
         };
-        let (pruned_outcomes, pruned_clusters) = run(true);
-        let (full_outcomes, full_clusters) = run(false);
+        let (pruned_outcomes, pruned_clusters, pruned) = run(true);
+        let (full_outcomes, full_clusters, _) = run(false);
+        assert!(
+            pruned > 0,
+            "corpus produced no pruning (else the equivalence check is vacuous)"
+        );
         assert_eq!(pruned_outcomes, full_outcomes, "per-insert traces diverged");
         assert_eq!(pruned_clusters, full_clusters, "clusterings diverged");
     }
@@ -832,12 +671,6 @@ mod tests {
         // record 7 sits in the oldest 400 postings of "widget" (and
         // shares the "gadget7" and digit keys), so the pair still links
         assert_eq!(t.cluster, linker.cluster_of(7));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_rejected() {
-        IncrementalLinker::for_products(IdentifierRule::default(), 0.9).with_threads(0);
     }
 
     #[test]

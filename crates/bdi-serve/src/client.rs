@@ -14,56 +14,48 @@ use std::io::{BufRead, BufReader, Error, ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// One connection to a running [`crate::Server`].
-pub struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-    /// Binary frames negotiated via [`Client::negotiate_binary`];
-    /// requests with a binary mapping ship as frames, everything else
-    /// stays on JSON lines.
-    binary: bool,
-    /// Server advertises the `trace-context` feature (learned on the
-    /// same `hello` as `binary`): [`Client::call_traced`] may attach
-    /// trace context to requests.
-    trace: bool,
-    /// Reused binary encode buffer.
-    wbuf: Vec<u8>,
-    /// Reused binary receive buffer.
-    rbuf: Vec<u8>,
-}
-
-fn bad(message: impl Into<String>) -> Error {
+pub(crate) fn bad(message: impl Into<String>) -> Error {
     Error::new(ErrorKind::InvalidData, message.into())
 }
 
-/// Read one response off a connection, autodetecting its format from
-/// the first byte exactly like the server's receive side: the frame
-/// magic means a binary reply (read into `scratch`), anything else a
-/// JSON line.
-pub(crate) fn read_response(
-    reader: &mut BufReader<TcpStream>,
-    scratch: &mut Vec<u8>,
-) -> std::io::Result<Response> {
-    let closed = || Error::new(ErrorKind::UnexpectedEof, "peer closed connection");
-    let first = *reader.fill_buf()?.first().ok_or_else(closed)?;
-    if first == frame::FRAME_MAGIC {
-        frame::read_frame(reader, scratch)?;
-        let (opcode, payload) = frame::open_frame(scratch)?;
-        return frame::decode_response(opcode, payload);
-    }
-    let mut reply = String::new();
-    if reader.read_line(&mut reply)? == 0 {
-        return Err(closed());
-    }
-    serde_json::from_str(&reply).map_err(|e| bad(format!("bad response: {e}")))
+/// One wire connection to a `bdi serve` / `bdi route` peer: the core
+/// under [`Client`] and under the router's ingest lanes and scatter
+/// reads. Sends and receives are decoupled, so a caller can write to
+/// several peers before reading from any (scatter) or run writes ahead
+/// of acks (pipelining).
+///
+/// Every request is built whole in a reused buffer — a frame, or a JSON
+/// line *including* its `\n` — and leaves in one `write_all`: the
+/// socket runs with `TCP_NODELAY`, so a payload followed by a separate
+/// newline write would be two segments and two syscalls per request.
+///
+/// Generic over its two halves only so a test can count writes; every
+/// real connection is the TCP default.
+pub(crate) struct WireConn<W = TcpStream, R = BufReader<TcpStream>> {
+    writer: W,
+    reader: R,
+    /// The peer advertised `binary-frames`: requests with a binary
+    /// mapping ship as frames, everything else stays on JSON lines.
+    /// Set by whoever ran the `hello` ([`WireConn::hello`]).
+    pub(crate) binary: bool,
+    /// The peer advertised `trace-context`: traced requests carry their
+    /// context (frame trace extension / JSON `traced` envelope). Off,
+    /// requests go out plain — old peers see byte-identical traffic.
+    pub(crate) trace: bool,
+    /// Reused binary encode buffer — zero per-request allocations once
+    /// warm.
+    wbuf: Vec<u8>,
+    /// Reused binary receive buffer.
+    rbuf: Vec<u8>,
+    /// Reused JSON encode buffer (the non-binary twin of `wbuf`).
+    line: String,
 }
 
-impl Client {
-    /// Connect to a server address.
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
+impl WireConn {
+    pub(crate) fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let writer = TcpStream::connect(addr)?;
-        // request/response round trips are one small line each way; Nagle
-        // + delayed ACK would add ~40ms to every call
+        // request/response round trips are one small message each way;
+        // Nagle + delayed ACK would add ~40ms to every call
         writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Self {
@@ -73,6 +65,98 @@ impl Client {
             trace: false,
             wbuf: Vec::new(),
             rbuf: Vec::new(),
+            line: String::new(),
+        })
+    }
+}
+
+impl<W: Write, R: BufRead> WireConn<W, R> {
+    /// Send one request: a frame when binary was negotiated and the
+    /// request has a binary mapping, a JSON line otherwise. `ctx` rides
+    /// as the frame extension or the JSON `traced` envelope when the
+    /// peer negotiated `trace-context`; without the feature (or without
+    /// a context) the request goes out plain, byte-for-byte what an
+    /// untraced sender produces.
+    pub(crate) fn send(
+        &mut self,
+        request: &Request,
+        ctx: Option<TraceContext>,
+    ) -> std::io::Result<()> {
+        let ctx = ctx.filter(|c| self.trace && c.trace != 0);
+        let wire_ctx = ctx.map(|c| (c.trace, c.parent));
+        let bytes = if self.binary
+            && frame::encode_request_traced(&mut self.wbuf, request, wire_ctx)
+        {
+            &self.wbuf[..]
+        } else {
+            serde_json::to_string_into(request, &mut self.line).map_err(|e| bad(e.to_string()))?;
+            if let Some(ctx) = ctx {
+                self.line.insert_str(
+                    0,
+                    &format!(
+                        "{{\"traced\":{{\"id\":{},\"parent\":{}}},\"request\":",
+                        ctx.trace, ctx.parent
+                    ),
+                );
+                self.line.push('}');
+            }
+            self.line.push('\n');
+            self.line.as_bytes()
+        };
+        self.writer.write_all(bytes)?;
+        self.writer.flush()
+    }
+
+    /// One round trip: [`WireConn::send`], then [`WireConn::recv`].
+    pub(crate) fn call(
+        &mut self,
+        request: &Request,
+        ctx: Option<TraceContext>,
+    ) -> std::io::Result<Response> {
+        self.send(request, ctx)?;
+        self.recv()
+    }
+
+    /// Read one response, autodetecting its format from the first byte
+    /// exactly like the server's receive side: the frame magic means a
+    /// binary reply, anything else a JSON line.
+    pub(crate) fn recv(&mut self) -> std::io::Result<Response> {
+        let closed = || Error::new(ErrorKind::UnexpectedEof, "peer closed connection");
+        let first = *self.reader.fill_buf()?.first().ok_or_else(closed)?;
+        if first == frame::FRAME_MAGIC {
+            frame::read_frame(&mut self.reader, &mut self.rbuf)?;
+            let (opcode, payload) = frame::open_frame(&self.rbuf)?;
+            return frame::decode_response(opcode, payload);
+        }
+        let mut reply = String::new();
+        if self.reader.read_line(&mut reply)? == 0 {
+            return Err(closed());
+        }
+        serde_json::from_str(&reply).map_err(|e| bad(format!("bad response: {e}")))
+    }
+
+    /// The `hello` round trip behind [`Client::hello`]; the caller
+    /// decides what to adopt from the feature list (`binary`, `trace`).
+    pub(crate) fn hello(&mut self) -> std::io::Result<(u32, Vec<String>)> {
+        match self.call(&Request::Hello, None)? {
+            Response::Hello { version, features } => Ok((version, features)),
+            Response::Error { message } => Err(bad(format!("peer rejected hello: {message}"))),
+            other => Err(bad(format!("unexpected response: {other:?}"))),
+        }
+    }
+}
+
+/// One connection to a running [`crate::Server`]: blocking
+/// request/response calls over a [`WireConn`].
+pub struct Client {
+    conn: WireConn,
+}
+
+impl Client {
+    /// Connect to a server address.
+    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
+        Ok(Self {
+            conn: WireConn::connect(addr)?,
         })
     }
 
@@ -82,15 +166,15 @@ impl Client {
     /// don't list the feature — the connection stays on JSON lines.
     pub fn negotiate_binary(&mut self) -> std::io::Result<bool> {
         let (_, features) = self.hello()?;
-        self.binary = features.iter().any(|f| f == FEATURE_BINARY);
-        self.trace = features.iter().any(|f| f == FEATURE_TRACE);
-        Ok(self.binary)
+        self.conn.binary = features.iter().any(|f| f == FEATURE_BINARY);
+        self.conn.trace = features.iter().any(|f| f == FEATURE_TRACE);
+        Ok(self.conn.binary)
     }
 
     /// Whether [`Client::negotiate_binary`] switched this connection to
     /// the binary wire path.
     pub fn is_binary(&self) -> bool {
-        self.binary
+        self.conn.binary
     }
 
     /// Whether the last `hello` (via [`Client::negotiate_binary`] or
@@ -98,7 +182,7 @@ impl Client {
     /// feature, i.e. whether [`Client::call_traced`] will actually
     /// attach context.
     pub fn supports_trace(&self) -> bool {
-        self.trace
+        self.conn.trace
     }
 
     /// Run a `hello` round trip and record whether the server
@@ -107,8 +191,8 @@ impl Client {
     /// learns both).
     pub fn negotiate_trace(&mut self) -> std::io::Result<bool> {
         let (_, features) = self.hello()?;
-        self.trace = features.iter().any(|f| f == FEATURE_TRACE);
-        Ok(self.trace)
+        self.conn.trace = features.iter().any(|f| f == FEATURE_TRACE);
+        Ok(self.conn.trace)
     }
 
     /// Bound every future read on this connection, so a wedged or
@@ -116,7 +200,7 @@ impl Client {
     /// [`ErrorKind::TimedOut`] error instead of hanging the caller.
     /// `None` removes the bound.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.reader.get_ref().set_read_timeout(timeout)
+        self.conn.reader.get_ref().set_read_timeout(timeout)
     }
 
     /// Send one request, read one response. After
@@ -124,8 +208,7 @@ impl Client {
     /// (ingest_batch, flush, sync, restore) go as frames; everything
     /// else stays on JSON lines — the server autodetects per message.
     pub fn call(&mut self, request: &Request) -> std::io::Result<Response> {
-        self.send(request, None)?;
-        self.recv()
+        self.conn.call(request, None)
     }
 
     /// [`Client::call`] carrying trace context, so the server joins its
@@ -138,33 +221,7 @@ impl Client {
         request: &Request,
         ctx: TraceContext,
     ) -> std::io::Result<Response> {
-        self.send(request, Some(ctx).filter(|c| self.trace && c.trace != 0))?;
-        self.recv()
-    }
-
-    /// Write one request: a frame when binary was negotiated and the
-    /// request has a binary mapping, a JSON line otherwise; `ctx` rides
-    /// as the frame extension or the JSON `traced` envelope.
-    fn send(&mut self, request: &Request, ctx: Option<TraceContext>) -> std::io::Result<()> {
-        let wire_ctx = ctx.map(|c| (c.trace, c.parent));
-        if self.binary && frame::encode_request_traced(&mut self.wbuf, request, wire_ctx) {
-            self.writer.write_all(&self.wbuf)?;
-            return self.writer.flush();
-        }
-        let line = serde_json::to_string(request).map_err(|e| bad(e.to_string()))?;
-        match ctx {
-            Some(ctx) => writeln!(
-                self.writer,
-                "{{\"traced\":{{\"id\":{},\"parent\":{}}},\"request\":{line}}}",
-                ctx.trace, ctx.parent
-            )?,
-            None => writeln!(self.writer, "{line}")?,
-        }
-        self.writer.flush()
-    }
-
-    fn recv(&mut self) -> std::io::Result<Response> {
-        read_response(&mut self.reader, &mut self.rbuf)
+        self.conn.call(request, Some(ctx))
     }
 
     /// Resolve an identifier to its entry, if integrated.
@@ -302,11 +359,7 @@ impl Client {
     /// pre-v2 peer answers `hello` with an error response, which is
     /// surfaced as an `InvalidData` error here.
     pub fn hello(&mut self) -> std::io::Result<(u32, Vec<String>)> {
-        match self.call(&Request::Hello)? {
-            Response::Hello { version, features } => Ok((version, features)),
-            Response::Error { message } => Err(bad(format!("peer rejected hello: {message}"))),
-            other => Err(bad(format!("unexpected response: {other:?}"))),
-        }
+        self.conn.hello()
     }
 
     /// Ship a backend's state from absolute position `from`:
@@ -621,5 +674,72 @@ impl HttpClient {
             Response::Bye => Ok(()),
             other => Err(bad(format!("unexpected response: {other:?}"))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Accepts everything it is handed, so one `write_all` is exactly
+    /// one `write` — the stand-in for one `send` syscall on a
+    /// `TCP_NODELAY` socket.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_request_is_one_write() {
+        let mut conn = WireConn {
+            writer: CountingWriter::default(),
+            reader: std::io::empty(),
+            binary: false,
+            trace: true,
+            wbuf: Vec::new(),
+            rbuf: Vec::new(),
+            line: String::new(),
+        };
+        let ctx = TraceContext {
+            trace: 7,
+            parent: 3,
+        };
+        let lookup = Request::Lookup {
+            identifier: "CAM-LUM-00100".to_string(),
+        };
+        conn.send(&lookup, None).unwrap();
+        conn.send(&lookup, Some(ctx)).unwrap();
+        conn.send(&Request::Stats, None).unwrap();
+        conn.binary = true;
+        conn.send(&Request::Flush, Some(ctx)).unwrap();
+
+        let writes = &conn.writer.writes;
+        assert_eq!(writes.len(), 4, "four requests, four writes: {writes:?}");
+        for line in &writes[..3] {
+            assert_eq!(
+                line.iter().filter(|&&b| b == b'\n').count(),
+                1,
+                "the newline travels with its line"
+            );
+            assert_eq!(line.last(), Some(&b'\n'));
+        }
+        assert!(writes[1].starts_with(b"{\"traced\":{\"id\":7,\"parent\":3},\"request\":"));
+        assert_eq!(writes[2], b"\"stats\"\n");
+        assert_eq!(
+            writes[3][0],
+            frame::FRAME_MAGIC,
+            "a whole frame in one write"
+        );
     }
 }

@@ -18,18 +18,15 @@ use bdi_fusion::{ClaimSet, Fuser, MajorityVote};
 use bdi_linkage::blocking::{normalize_identifier, BlockingKey};
 use bdi_linkage::incremental::{IncrementalLinker, InsertTimings, InsertTrace, LinkerState};
 use bdi_linkage::matcher::IdentifierRule;
-use bdi_linkage::parallel::default_threads;
 use bdi_obs::{Histogram, Registry};
 use bdi_types::{DataItem, EntityId, Record, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// Dirty-root counts below this are re-fused sequentially: spawning
-/// threads costs more than fusing a handful of clusters.
-const REFRESH_PARALLEL_CUTOFF: usize = 8;
-
-/// Long-lived integration state behind the serve ingest path.
+/// Long-lived integration state behind the serve ingest path. Single-
+/// threaded by design: one owner (the serve ingest worker) links,
+/// fuses and refreshes on its own thread.
 pub struct Engine {
     linker: IncrementalLinker<IdentifierRule>,
     /// Linkage match threshold the linker was built with.
@@ -44,9 +41,6 @@ pub struct Engine {
     /// generations — [`Engine::refresh`] hands out this `Arc`, so
     /// publication never copies the catalog.
     catalog: Arc<Catalog>,
-    /// Worker threads for candidate scoring and dirty-cluster fusion.
-    /// Purely a throughput knob: results are identical at any value.
-    threads: usize,
     /// Stage-timing histograms, when the owner attached any. Purely
     /// observational: the clustering outcome is identical with or
     /// without them (the timed insert path is the untimed path).
@@ -59,7 +53,7 @@ pub struct Engine {
 pub struct EngineMetrics {
     /// Candidate generation per insert (fingerprint + blocking index).
     pub candidates_ns: Arc<Histogram>,
-    /// Pair scoring per insert (the possibly parallel phase).
+    /// Pair scoring per insert (the fused prune/score/union loop).
     pub scoring_ns: Arc<Histogram>,
     /// Union apply + registration per insert.
     pub union_ns: Arc<Histogram>,
@@ -117,28 +111,18 @@ pub struct EngineState {
 
 impl Engine {
     /// Fresh engine with the product defaults (identifier + title
-    /// blocking, identifier-rule matcher) at `threshold`, using every
-    /// core the host reports for scoring and refresh fan-out.
+    /// blocking, identifier-rule matcher) at `threshold`. Inserts and
+    /// refreshes run on the caller's thread: after candidate pruning an
+    /// insert scores under one pair on average, so there is nothing to
+    /// spread (see DESIGN.md, "serve hot path").
     pub fn new(threshold: f64) -> Self {
-        Self::with_threads(threshold, default_threads())
-    }
-
-    /// [`Engine::new`] with an explicit worker-thread count (1 =
-    /// sequential). The clustering and every catalog generation are
-    /// **bit-identical** at any thread count — scoring and fusion fan
-    /// out, but unions and catalog deltas are applied in deterministic
-    /// order. The equivalence tests pin this.
-    pub fn with_threads(threshold: f64, threads: usize) -> Self {
-        assert!(threads >= 1, "need at least one thread");
         Self {
-            linker: IncrementalLinker::for_products(IdentifierRule::default(), threshold)
-                .with_threads(threads),
+            linker: IncrementalLinker::for_products(IdentifierRule::default(), threshold),
             threshold,
             members: HashMap::new(),
             dirty: BTreeSet::new(),
             dead: BTreeSet::new(),
             catalog: Arc::new(Catalog::default()),
-            threads,
             metrics: None,
         }
     }
@@ -188,7 +172,6 @@ impl Engine {
         if state.members.values().flatten().any(|&i| i >= n) {
             return None;
         }
-        let threads = default_threads();
         let linker = IncrementalLinker::restore(
             IdentifierRule::default(),
             threshold,
@@ -199,8 +182,7 @@ impl Engine {
                 ranks: state.ranks,
                 comparisons: state.comparisons,
             },
-        )?
-        .with_threads(threads);
+        )?;
         Some(Self {
             linker,
             threshold,
@@ -208,7 +190,6 @@ impl Engine {
             dirty: state.dirty,
             dead: state.dead,
             catalog: Arc::new(state.catalog),
-            threads,
             metrics: None,
         })
     }
@@ -252,19 +233,13 @@ impl Engine {
         (trace, timings)
     }
 
-    /// Ingest a whole wire batch transactionally from the engine's point
-    /// of view: one call, one pass over the records, and — crucially for
-    /// the serve worker — one deferred publish afterwards instead of
-    /// per-record publish traffic. Records apply in order through the
-    /// exact per-record path [`Engine::ingest`] uses, so the end state is
-    /// bit-identical to submitting the same records one by one (a serve
-    /// integration test pins this, WAL replay and snapshot included).
-    ///
-    /// A record whose insert panics is skipped (the panic is caught, the
-    /// engine keeps its pre-record state for that record) and counted in
-    /// the returned `rejected`; the rest of the batch still applies —
-    /// matching the per-record worker's catch-and-continue behaviour.
-    /// Returns `(applied, rejected)`.
+    /// Apply `records` in order through the exact per-record path
+    /// [`Engine::ingest`] uses, so the end state is bit-identical however
+    /// a stream is cut into calls (a serve integration test pins this,
+    /// WAL replay and snapshot included). A record whose insert panics
+    /// is skipped — the engine keeps its pre-record state — and counted
+    /// in the returned `rejected`; the rest still applies. Returns
+    /// `(applied, rejected)`.
     pub fn ingest_batch(&mut self, records: Vec<Record>) -> (u64, u64) {
         let (mut applied, mut rejected) = (0u64, 0u64);
         for record in records {
@@ -321,19 +296,15 @@ impl Engine {
     /// the new catalog behind an `Arc` that is *shared* with the
     /// engine's retained refresh base — publishing a generation is a
     /// pointer copy, not a catalog copy. A no-op refresh (nothing
-    /// dirty) hands out the current catalog unchanged.
-    ///
-    /// Dirty clusters re-fuse in parallel across the engine's worker
-    /// threads when there are enough of them; upserts are assembled in
-    /// ascending root order either way, so the resulting catalog is
-    /// identical at every thread count.
+    /// dirty) hands out the current catalog unchanged. Upserts are
+    /// built in ascending root order.
     pub fn refresh(&mut self) -> Arc<Catalog> {
         if self.dirty.is_empty() && self.dead.is_empty() {
             return Arc::clone(&self.catalog);
         }
         let t0 = std::time::Instant::now();
         let dirty_count = self.dirty.len() as u64;
-        let upserts = self.build_entries();
+        let upserts = self.dirty.iter().map(|&r| self.build_entry(r)).collect();
         let next = Arc::new(self.catalog.apply_delta(&self.dead, upserts));
         self.catalog = Arc::clone(&next);
         self.dirty.clear();
@@ -343,40 +314,6 @@ impl Engine {
             m.refresh_ns.record_duration(t0.elapsed());
         }
         next
-    }
-
-    /// Catalog entries for every dirty root, in ascending root order.
-    fn build_entries(&self) -> Vec<CatalogEntry> {
-        let roots: Vec<usize> = self.dirty.iter().copied().collect();
-        // clamp the fan-out to the host's parallelism: extra threads on
-        // an undersized host only add spawn overhead, and the result is
-        // identical at any count anyway
-        let spawn_threads = self.threads.min(default_threads());
-        if spawn_threads <= 1 || roots.len() < REFRESH_PARALLEL_CUTOFF {
-            return roots.iter().map(|&r| self.build_entry(r)).collect();
-        }
-        let chunk_size = roots.len().div_ceil(spawn_threads);
-        let mut results: Vec<Vec<CatalogEntry>> = Vec::with_capacity(spawn_threads);
-        crossbeam::thread::scope(|scope| {
-            let this = &*self;
-            let handles: Vec<_> = roots
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move |_| {
-                        chunk
-                            .iter()
-                            .map(|&r| this.build_entry(r))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("refresh thread panicked"));
-            }
-        })
-        .expect("thread scope failed");
-        // chunks concatenate in order: still ascending root order
-        results.into_iter().flatten().collect()
     }
 
     /// Materialize one cluster as a catalog entry: pages in arrival

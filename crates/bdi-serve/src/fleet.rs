@@ -33,7 +33,7 @@
 use crate::bridge::{BridgeIndex, MAX_SHARDS};
 use crate::gen::fnv64;
 use crate::protocol::{Request, Response};
-use crate::replica::{spawn_lane, LaneConn, ShardState};
+use crate::replica::{connect_checked, spawn_lane, ShardState};
 use crate::router::{settle_barrier, RouterShared};
 use crate::snapshot::Snapshot;
 use bdi_types::Record;
@@ -158,9 +158,8 @@ fn sync_from_shard(
         }
         let t0 = Instant::now();
         let attempt = (|| -> std::io::Result<ShippedState> {
-            let mut conn = LaneConn::connect_checked(addr, &["flush_barrier", "sync"])?;
-            conn.send(&Request::Flush)?;
-            match conn.recv()? {
+            let mut conn = connect_checked(addr, &["flush_barrier", "sync"])?;
+            match conn.call(&Request::Flush, None)? {
                 Response::Flushed { .. } => {}
                 other => {
                     return Err(std::io::Error::other(format!(
@@ -168,8 +167,7 @@ fn sync_from_shard(
                     )))
                 }
             }
-            conn.send(&Request::Sync { from: 0 })?;
-            match conn.recv()? {
+            match conn.call(&Request::Sync { from: 0 }, None)? {
                 Response::SyncState {
                     position,
                     snapshot,
@@ -203,13 +201,13 @@ fn restore_onto(
     tail: Vec<Record>,
     position: u64,
 ) -> std::io::Result<u64> {
-    let mut conn = LaneConn::connect_checked(addr, &["restore"])?;
-    conn.send(&Request::Restore {
+    let mut conn = connect_checked(addr, &["restore"])?;
+    let request = Request::Restore {
         snapshot,
         tail,
         position,
-    })?;
-    match conn.recv()? {
+    };
+    match conn.call(&request, None)? {
         Response::Restored { records, .. } => Ok(records),
         Response::Error { message } => Err(std::io::Error::other(message)),
         other => Err(std::io::Error::other(format!(

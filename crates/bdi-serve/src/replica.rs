@@ -6,10 +6,10 @@
 //! them, and reads fail over between them. This module holds the pieces
 //! that are per-*backend* rather than per-shard:
 //!
-//! * [`LaneConn`] — a raw request/response-decoupled connection (writes
-//!   can run ahead of reads for scatter and pipelining), plus the
-//!   version/feature handshake ([`LaneConn::connect_checked`]) and
-//!   bounded-retry connect ([`connect_with_retry`]) that front it.
+//! * the version/feature handshake ([`connect_checked`]) and
+//!   bounded-retry connect ([`connect_with_retry`]) that front a
+//!   backend's [`WireConn`] (the send/receive-decoupled wire connection
+//!   shared with [`crate::Client`]).
 //! * [`ReplicaLane`] — the bounded channel handlers route into and the
 //!   `enqueued`/`settled` counters the flush barrier reconciles, one
 //!   per (shard, replica).
@@ -30,7 +30,7 @@
 //! rebuilt through `replace` (WAL shipping), which restores from an
 //! exact position.
 
-use crate::frame;
+use crate::client::{bad, WireConn};
 use crate::protocol::{Request, Response, PROTOCOL_VERSION};
 use crate::router::RouterShared;
 use crate::server::{FEATURE_BINARY, FEATURE_TRACE};
@@ -39,157 +39,43 @@ use bdi_types::Record;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
 use std::collections::VecDeque;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-fn invalid(message: String) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, message)
+/// Connect and run the `hello` handshake: the peer must speak exactly
+/// [`PROTOCOL_VERSION`] and advertise every feature in `required`. A
+/// mismatch is `InvalidData` — a *permanent* error that
+/// [`connect_with_retry`] will not retry, so a mixed-version fleet
+/// fails fast instead of flapping (a pre-v2 build, which answers
+/// `hello` with an error response, lands there too).
+pub(crate) fn connect_checked(addr: SocketAddr, required: &[&str]) -> std::io::Result<WireConn> {
+    let mut conn = WireConn::connect(addr)?;
+    let (version, features) = conn
+        .hello()
+        .map_err(|e| std::io::Error::new(e.kind(), format!("{addr}: {e}")))?;
+    if version != PROTOCOL_VERSION {
+        return Err(bad(format!(
+            "protocol mismatch: {addr} speaks v{version}, \
+             this router speaks v{PROTOCOL_VERSION}"
+        )));
+    }
+    if let Some(missing) = required
+        .iter()
+        .find(|need| !features.iter().any(|have| have == *need))
+    {
+        return Err(bad(format!("{addr} lacks required feature '{missing}'")));
+    }
+    // opportunistic, never required: a peer that does not list
+    // `binary-frames` keeps this lane on the JSON path, and a
+    // trace-blind peer gets plain requests
+    conn.binary = features.iter().any(|f| f == FEATURE_BINARY);
+    conn.trace = features.iter().any(|f| f == FEATURE_TRACE);
+    Ok(conn)
 }
 
-/// One raw backend connection: unlike [`crate::Client`], requests and
-/// responses are decoupled so callers can write to several backends
-/// before reading from any (scatter) or run writes ahead of acks
-/// (pipelining).
-pub(crate) struct LaneConn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-    /// The peer advertised `binary-frames` in its `hello`: requests
-    /// with a binary mapping ship as frames instead of JSON lines.
-    binary: bool,
-    /// The peer advertised `trace-context`: traced requests carry their
-    /// context (frame trace extension / JSON `trace` envelope). Off,
-    /// requests go out plain — old peers see byte-identical traffic.
-    trace: bool,
-    /// Reused binary encode buffer — one frame per batch, zero
-    /// per-batch allocations once warm.
-    wbuf: Vec<u8>,
-    /// Reused binary receive buffer.
-    rbuf: Vec<u8>,
-    /// Reused JSON encode buffer (the non-binary twin of `wbuf`).
-    line: String,
-}
-
-impl LaneConn {
-    pub(crate) fn connect(addr: SocketAddr) -> std::io::Result<Self> {
-        let writer = TcpStream::connect(addr)?;
-        writer.set_nodelay(true)?;
-        let reader = BufReader::new(writer.try_clone()?);
-        Ok(Self {
-            writer,
-            reader,
-            binary: false,
-            trace: false,
-            wbuf: Vec::new(),
-            rbuf: Vec::new(),
-            line: String::new(),
-        })
-    }
-
-    /// Connect and run the `hello` handshake: the peer must speak
-    /// exactly [`PROTOCOL_VERSION`] and advertise every feature in
-    /// `required`. A mismatch is `InvalidData` — a *permanent* error
-    /// that [`connect_with_retry`] will not retry, so a mixed-version
-    /// fleet fails fast instead of flapping.
-    pub(crate) fn connect_checked(addr: SocketAddr, required: &[&str]) -> std::io::Result<Self> {
-        let mut conn = Self::connect(addr)?;
-        conn.send(&Request::Hello)?;
-        match conn.recv()? {
-            Response::Hello { version, features } => {
-                if version != PROTOCOL_VERSION {
-                    return Err(invalid(format!(
-                        "protocol mismatch: {addr} speaks v{version}, \
-                         this router speaks v{PROTOCOL_VERSION}"
-                    )));
-                }
-                if let Some(missing) = required
-                    .iter()
-                    .find(|need| !features.iter().any(|have| have == *need))
-                {
-                    return Err(invalid(format!(
-                        "{addr} lacks required feature '{missing}'"
-                    )));
-                }
-                // opportunistic, never required: a peer that does not
-                // list `binary-frames` keeps this lane on the JSON
-                // path, and a trace-blind peer gets plain requests
-                conn.binary = features.iter().any(|f| f == FEATURE_BINARY);
-                conn.trace = features.iter().any(|f| f == FEATURE_TRACE);
-                Ok(conn)
-            }
-            // pre-v2 builds answer hello with an error response
-            Response::Error { message } => Err(invalid(format!(
-                "{addr} rejected hello (pre-v{PROTOCOL_VERSION} build?): {message}"
-            ))),
-            other => Err(invalid(format!("{addr} answered hello with {other:?}"))),
-        }
-    }
-
-    pub(crate) fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()
-    }
-
-    pub(crate) fn send(&mut self, request: &Request) -> std::io::Result<()> {
-        self.send_traced(request, None)
-    }
-
-    /// Send one request, carrying `ctx` when the peer negotiated
-    /// `trace-context` — as the binary frame extension, or the JSON
-    /// `traced` envelope on the JSON path. Without the feature (or
-    /// without a context) the request goes out plain, byte-for-byte
-    /// what an untraced sender produces.
-    pub(crate) fn send_traced(
-        &mut self,
-        request: &Request,
-        ctx: Option<TraceContext>,
-    ) -> std::io::Result<()> {
-        let ctx = ctx.filter(|_| self.trace);
-        let wire_ctx = ctx.map(|c| (c.trace, c.parent));
-        if self.binary && frame::encode_request_traced(&mut self.wbuf, request, wire_ctx) {
-            self.writer.write_all(&self.wbuf)?;
-            return self.writer.flush();
-        }
-        // JSON path: serialize into the reused line buffer — no fresh
-        // String per batch
-        serde_json::to_string_into(request, &mut self.line)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        if let Some(ctx) = ctx {
-            self.line.insert_str(
-                0,
-                &format!(
-                    "{{\"traced\":{{\"id\":{},\"parent\":{}}},\"request\":",
-                    ctx.trace, ctx.parent
-                ),
-            );
-            self.line.push('}');
-        }
-        self.line.push('\n');
-        self.writer.write_all(self.line.as_bytes())?;
-        self.writer.flush()
-    }
-
-    pub(crate) fn recv(&mut self) -> std::io::Result<Response> {
-        crate::client::read_response(&mut self.reader, &mut self.rbuf)
-    }
-
-    /// Read one response that must be an ingest ack.
-    pub(crate) fn recv_ack(&mut self) -> std::io::Result<()> {
-        match self.recv()? {
-            Response::Ack { .. } => Ok(()),
-            Response::Error { message } => {
-                Err(invalid(format!("backend rejected batch: {message}")))
-            }
-            other => Err(invalid(format!(
-                "unexpected response to ingest_batch: {other:?}"
-            ))),
-        }
-    }
-}
-
-/// [`LaneConn::connect_checked`] behind bounded exponential backoff:
+/// [`connect_checked`] behind bounded exponential backoff:
 /// `retries` extra attempts at 10ms, 20ms, 40ms… before the error is
 /// surfaced, each retry counted on `retry_counter`
 /// (`route.backend.retries`). Only *transient* failures retry — a
@@ -199,10 +85,10 @@ pub(crate) fn connect_with_retry(
     required: &[&str],
     retries: u32,
     retry_counter: &Counter,
-) -> std::io::Result<LaneConn> {
+) -> std::io::Result<WireConn> {
     let mut attempt = 0u32;
     loop {
-        match LaneConn::connect_checked(addr, required) {
+        match connect_checked(addr, required) {
             Ok(conn) => return Ok(conn),
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => return Err(e),
             Err(e) if attempt >= retries => return Err(e),
@@ -297,7 +183,7 @@ pub(crate) fn spawn_lane(
 /// [`Weak`] no longer upgrades), the channel disconnects, or shutdown
 /// finds it idle.
 fn lane_worker(lane_ref: Weak<ReplicaLane>, shared: Arc<RouterShared>, rx: Receiver<LaneItem>) {
-    let mut conn: Option<LaneConn> = None;
+    let mut conn: Option<WireConn> = None;
     // per in-flight ingest_batch, oldest first: its record count plus
     // the `lane.batch` span finished when its ack arrives
     let mut outstanding: VecDeque<(u64, Option<ActiveSpan>)> = VecDeque::new();
@@ -363,7 +249,7 @@ fn lane_worker(lane_ref: Weak<ReplicaLane>, shared: Arc<RouterShared>, rx: Recei
         }
         let ctx = span.as_ref().map(|s| s.ctx());
         let sent = ensure_conn(&mut conn, &lane, &shared)
-            .and_then(|c| c.send_traced(&Request::IngestBatch { records }, ctx));
+            .and_then(|c| c.send(&Request::IngestBatch { records }, ctx));
         match sent {
             Ok(()) => outstanding.push_back((n, span)),
             Err(e) => {
@@ -379,49 +265,51 @@ fn lane_worker(lane_ref: Weak<ReplicaLane>, shared: Arc<RouterShared>, rx: Recei
         // when no more input is waiting — an idle lane owes no acks, so
         // the flush barrier sees settled == enqueued promptly
         while outstanding.len() >= shared.depth || (rx.is_empty() && !outstanding.is_empty()) {
-            let acked = conn.as_mut().expect("sent over this conn").recv_ack();
-            match acked {
-                Ok(()) => {
-                    let (n, span) = outstanding.pop_front().expect("one ack per batch");
-                    if let Some(s) = span {
-                        shared.core.tracer.finish(s);
-                    }
-                    lane.settled.fetch_add(n, Ordering::SeqCst);
-                }
-                Err(e) => {
-                    fail_lane(&shared, &lane, &mut outstanding, 0, &e.to_string());
-                    conn = None;
-                    break;
-                }
+            let c = conn.as_mut().expect("sent over this conn");
+            if !settle_oldest(c, &lane, &shared, &mut outstanding) {
+                conn = None;
+                break;
             }
         }
     }
     // disconnected or shutdown: collect acks still owed (skipped when
     // the lane itself is already retired — nobody reads its counters)
     if let (Some(c), Some(lane)) = (conn.as_mut(), lane_ref.upgrade()) {
-        while !outstanding.is_empty() {
-            match c.recv_ack() {
-                Ok(()) => {
-                    let (n, span) = outstanding.pop_front().expect("one ack per batch");
-                    if let Some(s) = span {
-                        shared.core.tracer.finish(s);
-                    }
-                    lane.settled.fetch_add(n, Ordering::SeqCst);
-                }
-                Err(e) => {
-                    fail_lane(&shared, &lane, &mut outstanding, 0, &e.to_string());
-                    break;
-                }
-            }
-        }
+        while !outstanding.is_empty() && settle_oldest(c, &lane, &shared, &mut outstanding) {}
     }
 }
 
-fn ensure_conn<'a>(
-    conn: &'a mut Option<LaneConn>,
+/// Read the ack owed for the oldest in-flight batch and settle it. Any
+/// other response, or an I/O error, fails the lane; returns whether
+/// the connection is still usable.
+fn settle_oldest(
+    conn: &mut WireConn,
     lane: &ReplicaLane,
     shared: &RouterShared,
-) -> std::io::Result<&'a mut LaneConn> {
+    outstanding: &mut VecDeque<(u64, Option<ActiveSpan>)>,
+) -> bool {
+    let err = match conn.recv() {
+        Ok(Response::Ack { .. }) => {
+            let (n, span) = outstanding.pop_front().expect("one ack per batch");
+            if let Some(s) = span {
+                shared.core.tracer.finish(s);
+            }
+            lane.settled.fetch_add(n, Ordering::SeqCst);
+            return true;
+        }
+        Ok(Response::Error { message }) => format!("backend rejected batch: {message}"),
+        Ok(other) => format!("unexpected response to ingest_batch: {other:?}"),
+        Err(e) => e.to_string(),
+    };
+    fail_lane(shared, lane, outstanding, 0, &err);
+    false
+}
+
+fn ensure_conn<'a>(
+    conn: &'a mut Option<WireConn>,
+    lane: &ReplicaLane,
+    shared: &RouterShared,
+) -> std::io::Result<&'a mut WireConn> {
     if conn.is_none() {
         *conn = Some(connect_with_retry(
             lane.addr,

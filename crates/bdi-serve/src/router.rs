@@ -45,11 +45,12 @@
 //! [`RegistrySnapshot`]: bdi_obs::RegistrySnapshot
 
 use crate::bridge::{mask_shards, merge_entries, merge_stats, BridgeIndex, ShardMask, MAX_SHARDS};
+use crate::client::WireConn;
 use crate::nio;
 use crate::protocol::{
     MetricsBody, Request, Response, SpanBody, StatsBody, TraceBody, PROTOCOL_VERSION,
 };
-use crate::replica::{spawn_lane, LaneConn, ReplicaLane, ShardState};
+use crate::replica::{spawn_lane, ReplicaLane, ShardState};
 use crate::request::RequestCore;
 use bdi_core::catalog::CatalogEntry;
 use bdi_linkage::blocking::normalize_identifier;
@@ -545,7 +546,7 @@ impl nio::Service for RouteService {
 /// by `(shard, replica)`; each shard remembers the replica that last
 /// answered and fails over in replica order when it stops doing so.
 struct QueryConns {
-    conns: HashMap<(usize, usize), (SocketAddr, LaneConn)>,
+    conns: HashMap<(usize, usize), (SocketAddr, WireConn)>,
     preferred: HashMap<usize, usize>,
     /// Context of the request currently being dispatched on this
     /// connection, if traced — scatter records a `backend.query` span
@@ -567,7 +568,7 @@ impl QueryConns {
         shard: usize,
         replica: usize,
         addr: SocketAddr,
-    ) -> std::io::Result<&mut LaneConn> {
+    ) -> std::io::Result<&mut WireConn> {
         // a cached connection whose slot was re-pointed by `replace` or
         // `split` must not be reused: the retired backend may still be
         // alive and would answer with stale state
@@ -581,7 +582,7 @@ impl QueryConns {
         match self.conns.entry((shard, replica)) {
             std::collections::hash_map::Entry::Occupied(e) => Ok(&mut e.into_mut().1),
             std::collections::hash_map::Entry::Vacant(e) => {
-                Ok(&mut e.insert((addr, LaneConn::connect(addr)?)).1)
+                Ok(&mut e.insert((addr, WireConn::connect(addr)?)).1)
             }
         }
     }
@@ -597,14 +598,14 @@ impl QueryConns {
         self.conns.remove(&(shard, replica));
     }
 
-    /// Write `line` to some replica of `shard`, trying the preferred
+    /// Write `request` to some replica of `shard`, trying the preferred
     /// replica first and failing over in order. Returns the replica
     /// index written to.
     fn send_failover(
         &mut self,
         shared: &RouterShared,
         shard: usize,
-        line: &str,
+        request: &Request,
     ) -> Result<usize, String> {
         let replicas = shard_addrs(shared, shard);
         let k = replicas.len().max(1);
@@ -613,7 +614,10 @@ impl QueryConns {
         for attempt in 0..replicas.len() {
             let r = (pref + attempt) % k;
             let addr = replicas[r];
-            match self.ensure(shard, r, addr).and_then(|c| c.send_line(line)) {
+            match self
+                .ensure(shard, r, addr)
+                .and_then(|c| c.send(request, None))
+            {
                 Ok(()) => {
                     self.preferred.insert(shard, r);
                     return Ok(r);
@@ -638,7 +642,7 @@ impl QueryConns {
         shared: &RouterShared,
         shard: usize,
         first: usize,
-        line: &str,
+        request: &Request,
     ) -> Result<Response, String> {
         let replicas = shard_addrs(shared, shard);
         let k = replicas.len().max(1);
@@ -661,7 +665,7 @@ impl QueryConns {
             let addr = replicas[r];
             let result = self
                 .ensure(shard, r, addr)
-                .and_then(|c| c.send_line(line).and_then(|()| c.recv()));
+                .and_then(|c| c.call(request, None));
             match result {
                 Ok(resp) => {
                     self.preferred.insert(shard, r);
@@ -688,19 +692,18 @@ impl QueryConns {
         mask: ShardMask,
         request: &Request,
     ) -> Vec<(usize, Result<Response, String>)> {
-        let line = serde_json::to_string(request).expect("requests serialize");
         let n = shared.shards.read().len();
         let mut results: Vec<(usize, Result<Response, String>)> = Vec::new();
         let mut pending: Vec<(usize, usize, u64)> = Vec::new();
         for shard in mask_shards(mask).filter(|&s| s < n) {
             let t0 = shared.core.tracer.now_ns();
-            match self.send_failover(shared, shard, &line) {
+            match self.send_failover(shared, shard, request) {
                 Ok(replica) => pending.push((shard, replica, t0)),
                 Err(e) => results.push((shard, Err(e))),
             }
         }
         for (shard, replica, t0) in pending {
-            let result = self.recv_failover(shared, shard, replica, &line);
+            let result = self.recv_failover(shared, shard, replica, request);
             if let Some(ctx) = self.trace_ctx {
                 shared.core.tracer.record(
                     ctx,
@@ -889,7 +892,6 @@ fn err(message: String) -> Response {
 /// shard — summing all copies would multiply the fleet totals by R.
 /// Two-phase like scatter: all writes go out before any read.
 fn flush_fleet(shared: &RouterShared, conns: &mut QueryConns) -> Response {
-    let line = serde_json::to_string(&Request::Flush).expect("requests serialize");
     let topo: Vec<Vec<SocketAddr>> = {
         let shards = shared.shards.read();
         shards.iter().map(|s| s.addrs()).collect()
@@ -900,7 +902,7 @@ fn flush_fleet(shared: &RouterShared, conns: &mut QueryConns) -> Response {
         for (replica, &addr) in replicas.iter().enumerate() {
             match conns
                 .ensure(shard, replica, addr)
-                .and_then(|c| c.send_line(&line))
+                .and_then(|c| c.send(&Request::Flush, None))
             {
                 Ok(()) => sent.push((shard, replica, addr)),
                 Err(_) => {
@@ -934,7 +936,7 @@ fn flush_fleet(shared: &RouterShared, conns: &mut QueryConns) -> Response {
     for (shard, replica, addr) in retry {
         let result = conns
             .ensure(shard, replica, addr)
-            .and_then(|c| c.send_line(&line).and_then(|()| c.recv()));
+            .and_then(|c| c.call(&Request::Flush, None));
         match result {
             Ok(Response::Flushed {
                 generation,

@@ -15,14 +15,14 @@
 //!   `ingest` records through a bounded crossbeam channel — when the
 //!   worker falls behind, the channel fills and senders block, which is
 //!   the backpressure surfacing to clients as a slow `ack`;
-//! * the worker drains up to `refresh_batch` queued records per cycle,
-//!   refreshes the dirty clusters once, and publishes the new generation
-//!   through the [`Swap`] — readers pay one `Arc` clone, never a lock
-//!   held across a query.
+//! * the worker takes whole ingest requests off the queue until a
+//!   cycle holds `refresh_batch` records, refreshes the dirty clusters
+//!   once, and publishes the new generation through the [`Swap`] —
+//!   readers pay one `Arc` clone, never a lock held across a query.
 //!
-//! With a [`DurabilityConfig`], the worker also appends every record to
-//! a write-ahead log *before* linking it ([`crate::wal`]), fsyncs in
-//! batches, and periodically captures the engine into a snapshot
+//! With a [`DurabilityConfig`], the worker also appends every request's
+//! records to a write-ahead log *before* linking them ([`crate::wal`]),
+//! fsyncs in batches, and periodically captures the engine into a snapshot
 //! ([`crate::snapshot`]) before compacting the log — so
 //! [`Server::start`] on the same data directory rebuilds the exact
 //! pre-crash state from one snapshot load plus the WAL tail.
@@ -102,16 +102,12 @@ pub struct ServerConfig {
     pub threshold: f64,
     /// Ingest queue capacity — the backpressure bound.
     pub queue_capacity: usize,
-    /// Max records linked per refresh/publish cycle.
+    /// Records per refresh/publish cycle: the ingest worker stops taking
+    /// further queued requests into a cycle once it holds this many (a
+    /// request is never split, so one larger request is one cycle).
     pub refresh_batch: usize,
     /// Identifier-index shards per generation.
     pub shards: usize,
-    /// Engine worker threads for candidate scoring and refresh fan-out
-    /// (0 = one per host core). Purely a throughput knob — results are
-    /// identical at any value. Multi-backend deployments on one host
-    /// (the sharded bench, a local router fleet) set this so backends
-    /// split the cores instead of all oversubscribing them.
-    pub engine_threads: usize,
     /// Records integrated before the server starts accepting.
     pub preload: Vec<Record>,
     /// Write-ahead log + snapshots; `None` serves purely in memory.
@@ -146,7 +142,6 @@ impl Default for ServerConfig {
             queue_capacity: 256,
             refresh_batch: 64,
             shards: 8,
-            engine_threads: 0,
             preload: Vec::new(),
             durability: None,
             slow_ms: None,
@@ -259,29 +254,27 @@ impl ServeMetrics {
     }
 }
 
-/// One unit of work on the ingest worker's queue. Control jobs
-/// (`sync`, `restore`) ride the same channel as records, so they
-/// observe the queue position they were submitted at: by the time the
-/// worker reaches one, every record enqueued before it has been
-/// appended and applied — which is what makes a `sync` reply a
-/// consistent cut of the stream.
+/// One unit of work on the ingest worker's queue. Control jobs (`sync`,
+/// `restore`) ride the same channel as records, so they observe the
+/// queue position they were submitted at: by the time the worker
+/// reaches one, every record enqueued before it has been appended and
+/// applied — which is what makes a `sync` reply a consistent cut of the
+/// stream.
 enum Job {
-    /// One record to append + apply (the ingest hot path), with the
-    /// trace context of the request that submitted it — carried across
-    /// the queue so the worker's WAL/engine/publish spans land in the
-    /// originating request's trace.
-    Record(Record, Option<TraceContext>),
-    /// A whole wire `ingest_batch` to append + apply as one
-    /// transactional unit: one WAL group append, one apply pass, one
-    /// deferred publish — so an N-record batch pays one cycle of
-    /// shared work instead of N. State after the cycle is bit-identical
-    /// to N `Record` jobs (an integration test pins it, WAL replay and
-    /// snapshot included).
-    Batch(Vec<Record>, Option<TraceContext>),
+    /// One ingest request's records — a wire `ingest` is a batch of
+    /// one — with the trace context of the request that submitted
+    /// them, carried across the queue so the worker's WAL/engine/publish
+    /// spans land in the originating request's trace. A job is never
+    /// split across [`Worker::cycle`]s, so its records become visible
+    /// to readers all at once.
+    Ingest(Vec<Record>, Option<TraceContext>),
     /// Ship a consistent snapshot/tail cut back to the handler.
     Sync { from: u64, reply: Sender<Response> },
     /// Install shipped state in place of the current engine.
-    Restore(Box<RestoreJob>),
+    Restore {
+        state: Box<RestoreJob>,
+        reply: Sender<Response>,
+    },
 }
 
 /// The restore payload (boxed: a full engine snapshot dwarfs a record).
@@ -289,7 +282,6 @@ struct RestoreJob {
     snapshot: Option<Snapshot>,
     tail: Vec<Record>,
     position: u64,
-    reply: Sender<Response>,
 }
 
 /// State shared by handlers and the ingest worker.
@@ -338,17 +330,12 @@ impl Server {
             durable: cfg.durability.is_some(),
         });
 
-        let engine_threads = if cfg.engine_threads == 0 {
-            bdi_linkage::parallel::default_threads()
-        } else {
-            cfg.engine_threads
-        };
-        let (mut engine, mut seq, mut durable) = match cfg.durability {
+        let (mut engine, mut seq, durable) = match cfg.durability {
             Some(d) => {
-                let (engine, seq, durable) = recover(d, cfg.threshold, engine_threads, &shared)?;
+                let (engine, seq, durable) = recover(d, cfg.threshold, &shared)?;
                 (engine, seq, Some(durable))
             }
-            None => (Engine::with_threads(cfg.threshold, engine_threads), 0, None),
+            None => (Engine::new(cfg.threshold), 0, None),
         };
         engine.set_metrics(EngineMetrics::register(&registry));
         if seq > 0 || engine.records() > 0 {
@@ -358,33 +345,21 @@ impl Server {
             shared.metrics.submitted.store(n);
             shared.metrics.applied.store(n);
         }
-        if !cfg.preload.is_empty() {
-            let n = cfg.preload.len() as u64;
-            for r in cfg.preload {
-                if let Some(log) = &mut durable {
-                    log.append(&r, &shared)?;
-                }
-                engine.ingest(r);
-            }
-            if let Some(log) = &mut durable {
-                log.sync(&shared)?;
-            }
-            seq += 1;
-            publish(&shared, &mut engine, seq);
-            shared.metrics.submitted.add(n);
-            shared.metrics.applied.add(n);
-        }
-
         let (tx, rx) = bounded(cfg.queue_capacity.max(1));
-        let worker = {
-            let shared = Arc::clone(&shared);
-            let opts = WorkerOpts {
-                batch: cfg.refresh_batch.max(1),
-                threshold: cfg.threshold,
-                engine_threads,
-            };
-            std::thread::spawn(move || ingest_worker(engine, shared, rx, seq, durable, opts))
+        let mut worker = Worker {
+            engine,
+            seq,
+            durable,
+            shared: Arc::clone(&shared),
+            batch: cfg.refresh_batch.max(1),
         };
+        if !cfg.preload.is_empty() {
+            // the preload is the first ingest request: same cycle, run
+            // here so it is queryable before the first connection
+            shared.metrics.submitted.add(cfg.preload.len() as u64);
+            worker.cycle(cfg.preload, None, &rx);
+        }
+        let worker = std::thread::spawn(move || worker.run(rx));
         let http_listener = match &cfg.http_addr {
             Some(a) => Some(TcpListener::bind(a.as_str())?),
             None => None,
@@ -510,16 +485,8 @@ struct DurableLog {
 }
 
 impl DurableLog {
-    /// Append one record (buffered) and mirror the position into stats.
-    fn append(&mut self, record: &Record, shared: &Shared) -> std::io::Result<()> {
-        self.wal.append(record)?;
-        shared.metrics.wal_position.set(self.wal.position());
-        shared.metrics.wal_tail.set(self.wal.tail_len());
-        Ok(())
-    }
-
-    /// Group-append a whole batch (one staged write per segment, one
-    /// append-latency sample) and mirror the position into stats once.
+    /// Group-append one request's records (one staged write per segment,
+    /// one append-latency sample) and mirror the position into stats once.
     fn append_batch(&mut self, records: &[Record], shared: &Shared) -> std::io::Result<()> {
         self.wal.append_batch(records)?;
         shared.metrics.wal_position.set(self.wal.position());
@@ -579,12 +546,11 @@ impl DurableLog {
 fn recover(
     cfg: DurabilityConfig,
     threshold: f64,
-    engine_threads: usize,
     shared: &Shared,
 ) -> std::io::Result<(Engine, u64, DurableLog)> {
     let (mut engine, mut seq, covered) = match Snapshot::load(&cfg.data_dir)? {
         Some(snapshot) => snapshot.restore_engine()?,
-        None => (Engine::with_threads(threshold, engine_threads), 0, 0),
+        None => (Engine::new(threshold), 0, 0),
     };
     let opened = Wal::open(&cfg.data_dir)?;
     let mut wal = opened.wal;
@@ -593,16 +559,14 @@ fn recover(
     // (a crash between snapshot and compaction leaves such overlap);
     // replay strictly the tail so nothing is applied twice.
     let t0 = Instant::now();
-    let mut replayed = 0u64;
-    for (pos, record) in opened.entries {
-        if pos < covered {
-            continue;
-        }
-        if catch_unwind(AssertUnwindSafe(|| engine.ingest(record))).is_err() {
-            shared.metrics.rejected.inc();
-        }
-        replayed += 1;
-    }
+    let tail: Vec<Record> = opened
+        .entries
+        .into_iter()
+        .filter(|(pos, _)| *pos >= covered)
+        .map(|(_, record)| record)
+        .collect();
+    let replayed = tail.len() as u64;
+    apply(&mut engine, tail, shared);
     if replayed > 0 {
         seq += 1;
         shared.metrics.recovery_replayed.add(replayed);
@@ -659,438 +623,248 @@ fn publish(shared: &Shared, engine: &mut Engine, seq: u64) {
     }));
 }
 
-/// Apply one record, converting a panic anywhere down the linkage /
-/// fusion stack into a counted rejection instead of a dead worker.
-/// A traced record additionally gets an `engine.insert` span whose
-/// children break the insert into its candidate / score / fuse stages
-/// (synthesized from [`crate::engine::Engine::ingest_timed`]'s stage
-/// timings, laid end to end under the insert span).
-fn apply_record(engine: &mut Engine, record: Record, ctx: Option<TraceContext>, shared: &Shared) {
-    let Some(ctx) = ctx else {
-        if catch_unwind(AssertUnwindSafe(|| engine.ingest(record))).is_err() {
-            shared.metrics.rejected.inc();
-        }
-        return;
-    };
+/// Apply `records` in order. A record whose insert panics anywhere
+/// down the linkage / fusion stack is skipped and counted in
+/// `stats.rejected` instead of killing the caller — the one "apply
+/// these, count rejects" call behind live ingest, start-up WAL replay
+/// and `restore`.
+fn apply(engine: &mut Engine, records: Vec<Record>, shared: &Shared) {
+    let (_, rejected) = engine.ingest_batch(records);
+    if rejected > 0 {
+        shared.metrics.rejected.add(rejected);
+    }
+}
+
+/// [`apply`] for one record of a traced request: the same insert, under
+/// an `engine.insert` span whose children break it into its candidate /
+/// score / fuse stages (synthesized from [`Engine::ingest_timed`]'s
+/// stage timings, laid end to end under the insert span).
+fn apply_traced(engine: &mut Engine, record: Record, ctx: TraceContext, shared: &Shared) {
     let tracer = &shared.core.tracer;
     let start = tracer.now_ns();
-    match catch_unwind(AssertUnwindSafe(|| engine.ingest_timed(record))) {
-        Err(_) => {
-            shared.metrics.rejected.inc();
-            tracer.record(
-                ctx,
-                "engine.insert",
-                start,
-                tracer.now_ns(),
-                &[("panicked", 1)],
-            );
-        }
-        Ok((_, timings)) => {
-            let end = tracer.now_ns();
-            let insert = tracer.record(ctx, "engine.insert", start, end, &[]);
-            let stage_ctx = TraceContext {
-                trace: ctx.trace,
-                parent: insert,
-            };
-            let mut t = start;
-            for (name, ns) in [
-                ("engine.candidates", timings.candidates_ns),
-                ("engine.score", timings.scoring_ns),
-                ("engine.fuse", timings.union_ns),
-            ] {
-                tracer.record(stage_ctx, name, t, t + ns, &[]);
-                t += ns;
-            }
-        }
-    }
-}
-
-/// Append one record to the WAL, with a `wal.append` span when the
-/// record rode in on a traced request.
-fn append_traced(
-    log: &mut DurableLog,
-    record: &Record,
-    ctx: Option<TraceContext>,
-    shared: &Shared,
-) -> std::io::Result<()> {
-    let Some(ctx) = ctx else {
-        return log.append(record, shared);
+    let outcome = catch_unwind(AssertUnwindSafe(|| engine.ingest_timed(record)));
+    let panicked: &[(&str, u64)] = if outcome.is_err() {
+        &[("panicked", 1)]
+    } else {
+        &[]
     };
-    let t0 = shared.core.tracer.now_ns();
-    let result = log.append(record, shared);
-    shared
-        .core
-        .tracer
-        .record(ctx, "wal.append", t0, shared.core.tracer.now_ns(), &[]);
-    result
-}
-
-/// One transactional batch cycle — the engine-side half of the wire
-/// `ingest_batch` fast path. The whole batch is group-appended to the
-/// WAL (write-ahead, before any record applies), applied in order, and
-/// published once, so an N-record batch pays one append call, one
-/// fsync decision, and one refresh instead of N. The batch becomes
-/// visible atomically: readers see either none of it or all of it.
-///
-/// Untraced batches take [`Engine::ingest_batch`] whole; a traced
-/// batch applies per-record under an `engine.batch` span so every
-/// record still gets its `engine.insert` span and stage children.
-/// Both routes run the identical per-record insert, so the resulting
-/// state cannot depend on which one ran.
-fn batch_cycle(
-    records: Vec<Record>,
-    ctx: Option<TraceContext>,
-    engine: &mut Engine,
-    seq: &mut u64,
-    durable: &mut Option<DurableLog>,
-    shared: &Shared,
-    rx: &Receiver<Job>,
-) {
-    let n = records.len() as u64;
-    if n == 0 {
+    let insert = tracer.record(ctx, "engine.insert", start, tracer.now_ns(), panicked);
+    let Ok((_, timings)) = outcome else {
+        shared.metrics.rejected.inc();
         return;
-    }
-    if let Some(log) = durable.as_mut() {
-        let t0 = ctx.map(|_| shared.core.tracer.now_ns());
-        if let Err(e) = log.append_batch(&records, shared) {
-            log_io_error(e);
-        }
-        if let (Some(ctx), Some(t0)) = (ctx, t0) {
-            shared.core.tracer.record(
-                ctx,
-                "wal.append",
-                t0,
-                shared.core.tracer.now_ns(),
-                &[("records", n)],
-            );
-        }
-    }
-    match ctx {
-        None => {
-            let (_, rejected) = engine.ingest_batch(records);
-            if rejected > 0 {
-                shared.metrics.rejected.add(rejected);
-            }
-        }
-        Some(ctx) => {
-            let mut span = shared
-                .core
-                .tracer
-                .begin(Some(ctx), "engine.batch")
-                .expect("ctx is Some");
-            span.attr("records", n);
-            let child = span.ctx();
-            for record in records {
-                apply_record(engine, record, Some(child), shared);
-            }
-            shared.core.tracer.finish(span);
-        }
-    }
-    if let Some(log) = durable.as_mut() {
-        let t0 = shared.core.tracer.now_ns();
-        match log.sync_if_due(rx.is_empty(), shared) {
-            Err(e) => log_io_error(e),
-            Ok(true) => {
-                if let Some(ctx) = ctx {
-                    shared.core.tracer.record(
-                        ctx,
-                        "wal.fsync",
-                        t0,
-                        shared.core.tracer.now_ns(),
-                        &[("group", 1)],
-                    );
-                }
-            }
-            Ok(false) => {}
-        }
-    }
-    *seq += 1;
-    let t0 = shared.core.tracer.now_ns();
-    publish(shared, engine, *seq);
-    if let Some(ctx) = ctx {
-        shared.core.tracer.record(
-            ctx,
-            "publish",
-            t0,
-            shared.core.tracer.now_ns(),
-            &[("records", n)],
-        );
-    }
-    shared.metrics.applied.add(n);
-    if let Some(log) = durable.as_mut() {
-        if let Err(e) = log.snapshot_if_due(engine, *seq, false, shared) {
-            log_io_error(e);
-        }
+    };
+    let stage_ctx = TraceContext {
+        trace: ctx.trace,
+        parent: insert,
+    };
+    let mut t = start;
+    for (name, ns) in [
+        ("engine.candidates", timings.candidates_ns),
+        ("engine.score", timings.scoring_ns),
+        ("engine.fuse", timings.union_ns),
+    ] {
+        tracer.record(stage_ctx, name, t, t + ns, &[]);
+        t += ns;
     }
 }
 
-/// Worker knobs beyond the engine itself: the per-cycle batch bound
-/// plus what a snapshot-less `restore` needs to build a fresh engine.
-struct WorkerOpts {
-    batch: usize,
-    threshold: f64,
-    engine_threads: usize,
+/// The outcome of a WAL or snapshot step the worker carries on past: on
+/// an I/O error durability is degraded but service continues, so the
+/// error is surfaced loudly (and stats keep reporting the stale synced
+/// position) instead of returned.
+fn logged<T>(outcome: std::io::Result<T>) -> Option<T> {
+    outcome
+        .map_err(|e| eprintln!("bdi-serve: WAL error (durability degraded): {e}"))
+        .ok()
 }
 
-fn log_io_error(e: std::io::Error) {
-    // Durability degraded, service continues: surface loudly, and
-    // stats keep reporting the stale synced position.
-    eprintln!("bdi-serve: WAL error (durability degraded): {e}");
+/// Send a control job's outcome back through the job's own channel; a
+/// send failure just means the requesting handler went away.
+fn answer(reply: &Sender<Response>, what: &str, outcome: std::io::Result<Response>) {
+    let _ = reply.send(outcome.unwrap_or_else(|e| Response::Error {
+        message: format!("{what} failed: {e}"),
+    }));
 }
 
-fn ingest_worker(
-    mut engine: Engine,
+/// The ingest worker: the [`Engine`] and everything else only its
+/// thread touches. The engine has exactly one owner, so nothing here
+/// locks, and handlers reach it only through the [`Job`] queue.
+struct Worker {
+    engine: Engine,
+    /// Generation number of the last publish.
+    seq: u64,
+    durable: Option<DurableLog>,
     shared: Arc<Shared>,
-    rx: Receiver<Job>,
-    mut seq: u64,
-    mut durable: Option<DurableLog>,
-    opts: WorkerOpts,
-) {
-    // trace contexts of this batch's traced records: the group-commit
-    // fsync and the publish are shared work, so their spans are
-    // recorded once per traced requester
-    let mut traced: Vec<TraceContext> = Vec::new();
-    while let Ok(job) = rx.recv() {
-        let first = match job {
-            Job::Record(r, ctx) => {
-                traced.clear();
-                traced.extend(ctx);
-                r
-            }
-            Job::Batch(records, ctx) => {
-                batch_cycle(
-                    records,
-                    ctx,
-                    &mut engine,
-                    &mut seq,
-                    &mut durable,
-                    &shared,
-                    &rx,
-                );
-                continue;
-            }
-            control_job => {
-                control(
-                    control_job,
-                    &mut engine,
-                    &mut seq,
-                    &mut durable,
-                    &shared,
-                    &opts,
-                );
-                continue;
-            }
-        };
-        let mut n = 1u64;
-        // a control job pulled mid-batch waits until the batch's records
-        // are applied and published — queue order is preserved
-        let mut pending: Option<Job> = None;
-        let first_ctx = traced.first().copied();
-        if let Some(log) = &mut durable {
-            if let Err(e) = append_traced(log, &first, first_ctx, &shared) {
-                log_io_error(e);
+    /// [`ServerConfig::refresh_batch`]: records per cycle.
+    batch: usize,
+}
+
+impl Worker {
+    /// Drain the queue until every sender is gone. Control jobs run
+    /// between cycles, where exclusive engine and WAL access is free.
+    fn run(mut self, rx: Receiver<Job>) {
+        let mut pending = None;
+        while let Some(job) = pending.take().or_else(|| rx.recv().ok()) {
+            match job {
+                Job::Ingest(records, ctx) => pending = self.cycle(records, ctx, &rx),
+                Job::Sync { from, reply } => answer(&reply, "sync", self.sync(from)),
+                Job::Restore { state, reply } => answer(&reply, "restore", self.restore(*state)),
             }
         }
-        apply_record(&mut engine, first, first_ctx, &shared);
-        while (n as usize) < opts.batch {
-            match rx.try_recv() {
-                Ok(Job::Record(r, ctx)) => {
-                    if let Some(log) = &mut durable {
-                        if let Err(e) = append_traced(log, &r, ctx, &shared) {
-                            log_io_error(e);
-                        }
+        // graceful drain: leave a clean snapshot and an empty tail so
+        // the next start skips replay entirely
+        if let Some(log) = &mut self.durable {
+            logged(log.snapshot_if_due(&self.engine, self.seq, true, &self.shared));
+        }
+    }
+
+    /// The one ingest path, queue to publish. Starting from one ingest
+    /// job, keep taking whole jobs off the queue until the cycle holds
+    /// `batch` records, the queue is empty or a control job turns up
+    /// (returned for [`Worker::run`] to handle next — queue order is
+    /// preserved). Each job is group-appended to the WAL (write-ahead,
+    /// before any of its records applies) and applied in order; then
+    /// the cycle makes one fsync decision, publishes once and counts
+    /// its records applied. Jobs are never split, so a request's
+    /// records become visible atomically: readers see none of them or
+    /// all of them.
+    ///
+    /// An untraced job applies through [`apply`] whole; a traced one
+    /// applies per record under an `engine.batch` span so every record
+    /// gets its `engine.insert` span and stage children. Both routes
+    /// run the identical per-record insert, so the resulting state
+    /// cannot depend on which one ran. The fsync and the publish are
+    /// shared work: their spans are recorded once per traced request.
+    fn cycle(
+        &mut self,
+        records: Vec<Record>,
+        ctx: Option<TraceContext>,
+        rx: &Receiver<Job>,
+    ) -> Option<Job> {
+        let shared = Arc::clone(&self.shared);
+        let tracer = &shared.core.tracer;
+        let mut traced: Vec<TraceContext> = Vec::new();
+        let mut n = 0u64;
+        let mut control = None;
+        let mut next = Some((records, ctx));
+        while let Some((records, ctx)) = next.take() {
+            let len = records.len() as u64;
+            n += len;
+            traced.extend(ctx);
+            if let Some(log) = &mut self.durable {
+                let t0 = tracer.now_ns();
+                logged(log.append_batch(&records, &shared));
+                if let Some(ctx) = ctx {
+                    tracer.record(ctx, "wal.append", t0, tracer.now_ns(), &[("records", len)]);
+                }
+            }
+            match tracer.begin(ctx, "engine.batch") {
+                None => apply(&mut self.engine, records, &shared),
+                Some(mut span) => {
+                    span.attr("records", len);
+                    for record in records {
+                        apply_traced(&mut self.engine, record, span.ctx(), &shared);
                     }
-                    apply_record(&mut engine, r, ctx, &shared);
-                    traced.extend(ctx);
-                    n += 1;
+                    tracer.finish(span);
                 }
-                Ok(control_job) => {
-                    pending = Some(control_job);
-                    break;
+            }
+            if (n as usize) < self.batch {
+                match rx.try_recv() {
+                    Ok(Job::Ingest(records, ctx)) => next = Some((records, ctx)),
+                    Ok(job) => control = Some(job),
+                    Err(_) => {}
                 }
-                Err(_) => break,
             }
         }
         // write-ahead before publish: a record is only announced as
         // applied once its WAL bytes are (batch-policy) durable
-        if let Some(log) = &mut durable {
-            let t0 = shared.core.tracer.now_ns();
-            match log.sync_if_due(rx.is_empty(), &shared) {
-                Err(e) => log_io_error(e),
-                Ok(true) => {
-                    let t1 = shared.core.tracer.now_ns();
-                    let batched = traced.len() as u64;
-                    for ctx in &traced {
-                        shared
-                            .core
-                            .tracer
-                            .record(*ctx, "wal.fsync", t0, t1, &[("group", batched)]);
-                    }
+        if let Some(log) = &mut self.durable {
+            let t0 = tracer.now_ns();
+            if logged(log.sync_if_due(rx.is_empty(), &shared)) == Some(true) {
+                let t1 = tracer.now_ns();
+                for ctx in &traced {
+                    tracer.record(*ctx, "wal.fsync", t0, t1, &[("group", n)]);
                 }
-                Ok(false) => {}
             }
         }
-        seq += 1;
-        let t0 = shared.core.tracer.now_ns();
-        publish(&shared, &mut engine, seq);
-        if !traced.is_empty() {
-            let t1 = shared.core.tracer.now_ns();
-            for ctx in traced.drain(..) {
-                shared
-                    .core
-                    .tracer
-                    .record(ctx, "publish", t0, t1, &[("records", n)]);
-            }
+        self.seq += 1;
+        let t0 = tracer.now_ns();
+        publish(&shared, &mut self.engine, self.seq);
+        let t1 = tracer.now_ns();
+        for ctx in traced {
+            tracer.record(ctx, "publish", t0, t1, &[("records", n)]);
         }
         // applied counts only after the records are queryable
         shared.metrics.applied.add(n);
-        if let Some(log) = &mut durable {
-            if let Err(e) = log.snapshot_if_due(&engine, seq, false, &shared) {
-                log_io_error(e);
+        if let Some(log) = &mut self.durable {
+            logged(log.snapshot_if_due(&self.engine, self.seq, false, &shared));
+        }
+        control
+    }
+
+    /// Build the `sync` reply: a consistent cut of this backend's
+    /// stream. With a WAL whose retained window still covers `from`,
+    /// ship the tail alone (cheap delta); otherwise — compacted past
+    /// `from`, or an in-memory server with no journal at all — ship a
+    /// full snapshot.
+    fn sync(&mut self, from: u64) -> std::io::Result<Response> {
+        if let Some(log) = &mut self.durable {
+            // everything applied so far must be on disk before it is shipped
+            log.sync(&self.shared)?;
+            if from >= log.wal.base() && from <= log.wal.position() {
+                let tail = crate::wal::replay_from(&log.data_dir, from)?;
+                return Ok(Response::SyncState {
+                    position: log.wal.position(),
+                    snapshot: None,
+                    tail,
+                });
             }
         }
-        if let Some(job) = pending.take() {
-            match job {
-                Job::Batch(records, ctx) => batch_cycle(
-                    records,
-                    ctx,
-                    &mut engine,
-                    &mut seq,
-                    &mut durable,
-                    &shared,
-                    &rx,
-                ),
-                job => control(job, &mut engine, &mut seq, &mut durable, &shared, &opts),
-            }
-        }
+        let snapshot = Snapshot::capture(&self.engine, self.seq);
+        Ok(Response::SyncState {
+            position: snapshot.records,
+            snapshot: Some(snapshot),
+            tail: Vec::new(),
+        })
     }
-    // graceful drain: leave a clean snapshot and an empty tail so the
-    // next start skips replay entirely
-    if let Some(log) = &mut durable {
-        if let Err(e) = log.snapshot_if_due(&engine, seq, true, &shared) {
-            log_io_error(e);
-        }
-    }
-}
 
-/// Handle one control job on the worker thread, where exclusive engine
-/// and WAL access is free. Replies go back through the job's own
-/// channel; a send failure just means the requesting handler went away.
-fn control(
-    job: Job,
-    engine: &mut Engine,
-    seq: &mut u64,
-    durable: &mut Option<DurableLog>,
-    shared: &Shared,
-    opts: &WorkerOpts,
-) {
-    match job {
-        Job::Record(..) => unreachable!("records take the batching path"),
-        Job::Batch(..) => unreachable!("batches take their own cycle"),
-        Job::Sync { from, reply } => {
-            let response = handle_sync(from, engine, *seq, durable, shared).unwrap_or_else(|e| {
-                Response::Error {
-                    message: format!("sync failed: {e}"),
-                }
-            });
-            let _ = reply.send(response);
+    /// Install shipped state: rebuild the engine from the snapshot (or
+    /// fresh, for a tail-only ship), replay the tail, adopt `position`
+    /// as the applied count, and publish. Durable backends reset their
+    /// journal to `position` and write a covering snapshot, so a
+    /// restart recovers the restored state, not the pre-restore one.
+    /// Not crash-atomic: a backend that dies mid-restore must be
+    /// bootstrapped again.
+    fn restore(&mut self, job: RestoreJob) -> std::io::Result<Response> {
+        let shared = &*self.shared;
+        let mut fresh = match job.snapshot {
+            Some(s) => s.restore_engine()?.0,
+            None => Engine::new(self.engine.threshold()),
+        };
+        fresh.set_metrics(EngineMetrics::register(&shared.metrics.registry));
+        apply(&mut fresh, job.tail, shared);
+        self.engine = fresh;
+        self.seq += 1;
+        publish(shared, &mut self.engine, self.seq);
+        shared.metrics.submitted.store(job.position);
+        shared.metrics.applied.store(job.position);
+        if let Some(log) = &mut self.durable {
+            log.wal.rebase(job.position)?;
+            let snap = Snapshot::capture(&self.engine, self.seq);
+            let covered = snap.records;
+            let took = snap.write_timed(&log.data_dir)?;
+            shared.metrics.snapshot_write_ns.record_duration(took);
+            shared.metrics.snapshot_records.set(covered);
+            shared.metrics.snapshot_generation.set(self.seq);
+            shared.metrics.wal_position.set(log.wal.position());
+            shared.metrics.wal_synced.set(log.wal.synced());
+            shared.metrics.wal_tail.set(log.wal.tail_len());
         }
-        Job::Restore(job) => {
-            let RestoreJob {
-                snapshot,
-                tail,
-                position,
-                reply,
-            } = *job;
-            let response =
-                handle_restore(snapshot, tail, position, engine, seq, durable, shared, opts)
-                    .unwrap_or_else(|e| Response::Error {
-                        message: format!("restore failed: {e}"),
-                    });
-            let _ = reply.send(response);
-        }
+        Ok(Response::Restored {
+            generation: self.seq,
+            records: self.engine.records() as u64,
+        })
     }
-}
-
-/// Build the `sync` reply: a consistent cut of this backend's stream.
-/// With a WAL whose retained window still covers `from`, ship the tail
-/// alone (cheap delta); otherwise — compacted past `from`, or an
-/// in-memory server with no journal at all — ship a full snapshot.
-fn handle_sync(
-    from: u64,
-    engine: &Engine,
-    seq: u64,
-    durable: &mut Option<DurableLog>,
-    shared: &Shared,
-) -> std::io::Result<Response> {
-    if let Some(log) = durable {
-        // everything applied so far must be on disk before it is shipped
-        log.sync(shared)?;
-        if from >= log.wal.base() && from <= log.wal.position() {
-            let tail = crate::wal::replay_from(&log.data_dir, from)?;
-            return Ok(Response::SyncState {
-                position: log.wal.position(),
-                snapshot: None,
-                tail,
-            });
-        }
-    }
-    let snapshot = Snapshot::capture(engine, seq);
-    Ok(Response::SyncState {
-        position: snapshot.records,
-        snapshot: Some(snapshot),
-        tail: Vec::new(),
-    })
-}
-
-/// Install shipped state: rebuild the engine from the snapshot (or
-/// fresh, for a tail-only ship), replay the tail, adopt `position` as
-/// the applied count, and publish. Durable backends reset their journal
-/// to `position` and write a covering snapshot, so a restart recovers
-/// the restored state, not the pre-restore one. Not crash-atomic: a
-/// backend that dies mid-restore must be bootstrapped again.
-#[allow(clippy::too_many_arguments)]
-fn handle_restore(
-    snapshot: Option<Snapshot>,
-    tail: Vec<Record>,
-    position: u64,
-    engine: &mut Engine,
-    seq: &mut u64,
-    durable: &mut Option<DurableLog>,
-    shared: &Shared,
-    opts: &WorkerOpts,
-) -> std::io::Result<Response> {
-    let mut fresh = match snapshot {
-        Some(s) => s.restore_engine()?.0,
-        None => Engine::with_threads(opts.threshold, opts.engine_threads),
-    };
-    fresh.set_metrics(EngineMetrics::register(&shared.metrics.registry));
-    for r in tail {
-        if catch_unwind(AssertUnwindSafe(|| fresh.ingest(r))).is_err() {
-            shared.metrics.rejected.inc();
-        }
-    }
-    *engine = fresh;
-    *seq += 1;
-    publish(shared, engine, *seq);
-    shared.metrics.submitted.store(position);
-    shared.metrics.applied.store(position);
-    if let Some(log) = durable {
-        log.wal.rebase(position)?;
-        let snap = Snapshot::capture(engine, *seq);
-        let covered = snap.records;
-        let took = snap.write_timed(&log.data_dir)?;
-        shared.metrics.snapshot_write_ns.record_duration(took);
-        shared.metrics.snapshot_records.set(covered);
-        shared.metrics.snapshot_generation.set(*seq);
-        shared.metrics.wal_position.set(log.wal.position());
-        shared.metrics.wal_synced.set(log.wal.synced());
-        shared.metrics.wal_tail.set(log.wal.tail_len());
-    }
-    Ok(Response::Restored {
-        generation: *seq,
-        records: engine.records() as u64,
-    })
 }
 
 /// The backend as a [`nio::Service`]: stateless per connection (every
@@ -1099,6 +873,48 @@ struct ServeService {
     shared: Arc<Shared>,
     tx: Sender<Job>,
     addr: SocketAddr,
+}
+
+impl ServeService {
+    /// Enqueue one ingest request's records as one job — never split,
+    /// so the worker appends, applies and publishes them within one
+    /// cycle — and ack with the submitted counter. `submitted` moves
+    /// only after the enqueue succeeds so a concurrent flush barriers
+    /// correctly. Blocks while the queue is full (backpressure).
+    fn submit(&self, records: Vec<Record>, ctx: Option<TraceContext>) -> Response {
+        let shared = &self.shared;
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return Response::Error {
+                message: "shutting down".to_string(),
+            };
+        }
+        let n = records.len() as u64;
+        if n > 0 {
+            if self.tx.send(Job::Ingest(records, ctx)).is_err() {
+                return Response::Error {
+                    message: "ingest queue closed".to_string(),
+                };
+            }
+            shared.metrics.submitted.add(n);
+        }
+        Response::Ack {
+            submitted: shared.metrics.submitted.get(),
+        }
+    }
+
+    /// Queue a control job behind everything already submitted and wait
+    /// for the worker's reply.
+    fn control(&self, name: &str, job: impl FnOnce(Sender<Response>) -> Job) -> Response {
+        let (reply, reply_rx) = bounded(1);
+        if self.tx.send(job(reply)).is_err() {
+            return Response::Error {
+                message: "ingest queue closed".to_string(),
+            };
+        }
+        reply_rx.recv().unwrap_or_else(|_| Response::Error {
+            message: format!("{name} worker unavailable"),
+        })
+    }
 }
 
 impl nio::Service for ServeService {
@@ -1114,7 +930,7 @@ impl nio::Service for ServeService {
     /// this tier that matches on [`Request`] variants. Every wire decodes
     /// to the same `Request`, so nothing below is format-specific.
     fn dispatch(&self, _conn: &mut (), request: Request, ctx: Option<TraceContext>) -> Response {
-        let (shared, tx) = (&*self.shared, &self.tx);
+        let shared = &*self.shared;
         match request {
             Request::Lookup { identifier } => {
                 let current = shared.current.load();
@@ -1158,47 +974,13 @@ impl nio::Service for ServeService {
                     entries,
                 }
             }
-            Request::Ingest { record } => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return Response::Error {
-                        message: "shutting down".to_string(),
-                    };
-                }
-                match tx.send(Job::Record(record, ctx)) {
-                    Ok(()) => Response::Ack {
-                        submitted: shared.metrics.submitted.inc(),
-                    },
-                    Err(_) => Response::Error {
-                        message: "ingest queue closed".to_string(),
-                    },
-                }
-            }
+            Request::Ingest { record } => self.submit(vec![record], ctx),
             Request::IngestBatch { records } => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return Response::Error {
-                        message: "shutting down".to_string(),
-                    };
-                }
                 shared
                     .metrics
                     .ingest_batch_records
                     .record(records.len() as u64);
-                // one job for the whole batch: the worker appends and
-                // applies it as a single transactional cycle; submitted
-                // moves only after the enqueue succeeds so a concurrent
-                // flush barriers correctly
-                let n = records.len() as u64;
-                if n > 0 {
-                    if tx.send(Job::Batch(records, ctx)).is_err() {
-                        return Response::Error {
-                            message: "ingest queue closed".to_string(),
-                        };
-                    }
-                    shared.metrics.submitted.add(n);
-                }
-                Response::Ack {
-                    submitted: shared.metrics.submitted.get(),
-                }
+                self.submit(records, ctx)
             }
             Request::Flush => {
                 let target = shared.metrics.submitted.get();
@@ -1248,38 +1030,19 @@ impl nio::Service for ServeService {
                 version: PROTOCOL_VERSION,
                 features: FEATURES.iter().map(|f| (*f).to_string()).collect(),
             },
-            Request::Sync { from } => {
-                let (reply, reply_rx) = bounded(1);
-                if tx.send(Job::Sync { from, reply }).is_err() {
-                    return Response::Error {
-                        message: "ingest queue closed".to_string(),
-                    };
-                }
-                reply_rx.recv().unwrap_or_else(|_| Response::Error {
-                    message: "sync worker unavailable".to_string(),
-                })
-            }
+            Request::Sync { from } => self.control("sync", |reply| Job::Sync { from, reply }),
             Request::Restore {
                 snapshot,
                 tail,
                 position,
-            } => {
-                let (reply, reply_rx) = bounded(1);
-                let job = Job::Restore(Box::new(RestoreJob {
+            } => self.control("restore", |reply| Job::Restore {
+                state: Box::new(RestoreJob {
                     snapshot,
                     tail,
                     position,
-                    reply,
-                }));
-                if tx.send(job).is_err() {
-                    return Response::Error {
-                        message: "ingest queue closed".to_string(),
-                    };
-                }
-                reply_rx.recv().unwrap_or_else(|_| Response::Error {
-                    message: "restore worker unavailable".to_string(),
-                })
-            }
+                }),
+                reply,
+            }),
             Request::Trace { id, recent } => {
                 let tracer = &shared.core.tracer;
                 let body = match id {
@@ -1587,6 +1350,11 @@ mod tests {
         })
         .unwrap();
         let addr = server.addr();
+        // the pipelined phase: request `k` carries `SIZES[k]` records
+        // that share an identifier of their own and come from distinct
+        // sources, so they fuse into one entry of exactly that many pages
+        const SIZES: [usize; 12] = [1, 7, 1, 1, 100, 3, 1, 32, 1, 64, 2, 1];
+        let request_id = |k: usize| format!("XXX-YYY-{k:05}");
         let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..4)
             .map(|_| {
@@ -1594,7 +1362,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut client = Client::connect(addr).unwrap();
                     let mut last_gen = 0u64;
-                    let mut queries = 0u64;
+                    let mut queries = 0usize;
                     while !stop.load(Ordering::SeqCst) {
                         let (generation, entry) = client.lookup_traced("CAM-LUM-00042").unwrap();
                         assert!(
@@ -1605,6 +1373,16 @@ mod tests {
                             assert!(!e.pages.is_empty(), "no half-applied entries");
                         }
                         last_gen = generation;
+                        // one request is one job in one cycle: all of its
+                        // records are visible, or none of them
+                        let k = queries % SIZES.len();
+                        if let Some(e) = client.lookup(&request_id(k)).unwrap() {
+                            assert_eq!(
+                                e.pages.len(),
+                                SIZES[k],
+                                "a strict subset of request {k} was visible"
+                            );
+                        }
                         queries += 1;
                     }
                     queries
@@ -1624,16 +1402,46 @@ mod tests {
                 ))
                 .unwrap();
         }
+        // un-awaited singles and batches of mixed size, so several jobs
+        // queue behind a running cycle and coalesce into the next one
+        let mut pipe = crate::client::WireConn::connect(addr).unwrap();
+        for (k, &n) in SIZES.iter().enumerate() {
+            let mut records: Vec<Record> = (0..n as u32)
+                .map(|s| {
+                    rec(
+                        s,
+                        1000 + k as u32,
+                        &format!("Gadget{k} model{k}"),
+                        &request_id(k),
+                        1.0,
+                    )
+                })
+                .collect();
+            let request = match n {
+                1 => Request::Ingest {
+                    record: records.remove(0),
+                },
+                _ => Request::IngestBatch { records },
+            };
+            pipe.send(&request, None).unwrap();
+        }
+        for _ in SIZES {
+            assert!(matches!(pipe.recv().unwrap(), Response::Ack { .. }));
+        }
         writer.flush().unwrap();
         stop.store(true, Ordering::SeqCst);
-        let total: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
+        let total: usize = readers.into_iter().map(|h| h.join().unwrap()).sum();
         assert!(total > 0, "readers made progress during ingest");
         let entry = writer
             .lookup("CAM-LUM-00042")
             .unwrap()
             .expect("resolves after flush");
         assert_eq!(entry.pages.len(), 60);
-        drop(writer);
+        for (k, &n) in SIZES.iter().enumerate() {
+            let entry = writer.lookup(&request_id(k)).unwrap().expect("applied");
+            assert_eq!(entry.pages.len(), n, "request {k} landed whole");
+        }
+        drop((writer, pipe));
         server.shutdown();
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Every record accepted by the ingest worker is appended here *before*
 //! it is linked, so a crash can lose at most the records that were not
-//! yet synced (bounded by the sync batch, see [`Wal::append`]). Records
+//! yet synced (bounded by the sync batch, see [`Wal::append_batch`]). Records
 //! are stored in the crate's binary frame body encoding ([`crate::frame`])
 //! inside preallocated, memory-mapped segment files:
 //!
@@ -93,7 +93,7 @@ pub struct Wal {
     synced: u64,
     /// Capacity for newly created segments.
     capacity: usize,
-    /// Reused frame-encode buffer.
+    /// Reused frame-staging buffer.
     scratch: Vec<u8>,
     /// Durability-timing histograms, when the owner attached any.
     metrics: Option<WalMetrics>,
@@ -109,7 +109,7 @@ struct SealedSegment {
 /// via [`Wal::set_metrics`].
 #[derive(Clone)]
 pub struct WalMetrics {
-    /// One [`Wal::append`] (binary encode + mapped memcpy), ns.
+    /// One [`Wal::append_batch`] (binary encode + mapped memcpy), ns.
     pub append_ns: Arc<Histogram>,
     /// One group-commit [`Wal::sync`] (`msync` of the dirty range), ns.
     /// Only syncs that actually hit the disk are recorded — the early
@@ -363,71 +363,47 @@ impl Wal {
         self.metrics = Some(metrics);
     }
 
-    /// Append one record, returning its absolute position. The bytes
-    /// land in the mapped segment immediately (no buffering layer),
-    /// but durability requires a later [`Wal::sync`]; callers batch
-    /// syncs to keep the hot path off the disk's barrier latency.
-    pub fn append(&mut self, record: &Record) -> std::io::Result<u64> {
-        let t0 = Instant::now();
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&[0u8; FRAME_PREFIX]);
-        frame::put_record(&mut self.scratch, record);
-        let body_len = self.scratch.len() - FRAME_PREFIX;
-        let crc = frame::crc32(&self.scratch[FRAME_PREFIX..]);
-        self.scratch[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
-        self.scratch[4..8].copy_from_slice(&crc.to_le_bytes());
-
-        if self.write_off + self.scratch.len() > self.seg.len() {
-            self.roll(self.scratch.len())?;
-        }
-        self.seg.write_at(self.write_off, &self.scratch);
-        self.write_off += self.scratch.len();
-        let pos = self.next;
-        self.next += 1;
-        if let Some(m) = &self.metrics {
-            m.append_ns.record_duration(t0.elapsed());
-        }
-        Ok(pos)
-    }
-
-    /// Append a whole batch of records with one timing sample and one
-    /// mapped-segment write per segment touched: frames are encoded
-    /// back-to-back into a staging buffer and flushed with a single
-    /// `write_at`, rolling mid-batch when the next frame would not fit.
-    /// The resulting log is byte-for-byte identical to appending the
-    /// records one at a time — replay cannot tell the difference — and
-    /// durability still requires a later [`Wal::sync`]. Returns the
-    /// absolute position of the first record in the batch.
+    /// Append one request's records (a single record is a batch of one)
+    /// with one timing sample and one mapped-segment write per segment
+    /// touched: frames are encoded back-to-back into a staging buffer
+    /// and flushed with a single `write_at`, rolling mid-batch when the
+    /// next frame would not fit. The bytes land in the mapped segment
+    /// immediately (no buffering layer) and are identical however the
+    /// records are grouped into calls — replay cannot tell the
+    /// difference — but durability requires a later [`Wal::sync`];
+    /// callers batch syncs to keep the hot path off the disk's barrier
+    /// latency. Returns the absolute position of the first record.
     pub fn append_batch(&mut self, records: &[Record]) -> std::io::Result<u64> {
         if records.is_empty() {
             return Ok(self.next);
         }
         let t0 = Instant::now();
         let first = self.next;
-        let mut staged: Vec<u8> = Vec::with_capacity(256 * records.len());
+        // the reused staging buffer: once warm, an append allocates
+        // nothing, and each frame is encoded where it is flushed from
+        let mut staged = std::mem::take(&mut self.scratch);
+        staged.clear();
         for record in records {
-            self.scratch.clear();
-            self.scratch.extend_from_slice(&[0u8; FRAME_PREFIX]);
-            frame::put_record(&mut self.scratch, record);
-            let body_len = self.scratch.len() - FRAME_PREFIX;
-            let crc = frame::crc32(&self.scratch[FRAME_PREFIX..]);
-            self.scratch[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
-            self.scratch[4..8].copy_from_slice(&crc.to_le_bytes());
-            if self.write_off + staged.len() + self.scratch.len() > self.seg.len() {
-                if !staged.is_empty() {
-                    self.seg.write_at(self.write_off, &staged);
-                    self.write_off += staged.len();
-                    staged.clear();
-                }
-                self.roll(self.scratch.len())?;
+            let start = staged.len();
+            staged.extend_from_slice(&[0u8; FRAME_PREFIX]);
+            frame::put_record(&mut staged, record);
+            let body_len = staged.len() - start - FRAME_PREFIX;
+            let crc = frame::crc32(&staged[start + FRAME_PREFIX..]);
+            staged[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
+            staged[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+            if self.write_off + staged.len() > self.seg.len() {
+                // this frame does not fit: flush the ones before it,
+                // roll, and carry it into the new segment
+                self.seg.write_at(self.write_off, &staged[..start]);
+                self.write_off += start;
+                self.roll(staged.len() - start)?;
+                staged.drain(..start);
             }
-            staged.extend_from_slice(&self.scratch);
             self.next += 1;
         }
-        if !staged.is_empty() {
-            self.seg.write_at(self.write_off, &staged);
-            self.write_off += staged.len();
-        }
+        self.seg.write_at(self.write_off, &staged);
+        self.write_off += staged.len();
+        self.scratch = staged;
         if let Some(m) = &self.metrics {
             m.append_ns.record_duration(t0.elapsed());
         }
@@ -661,7 +637,7 @@ mod tests {
         {
             let mut wal = Wal::open(&dir).unwrap().wal;
             for i in 0..5 {
-                assert_eq!(wal.append(&rec(i)).unwrap(), u64::from(i));
+                assert_eq!(wal.append_batch(&[rec(i)]).unwrap(), u64::from(i));
             }
             assert_eq!(wal.pending_sync(), 5);
             wal.sync().unwrap();
@@ -682,7 +658,7 @@ mod tests {
         {
             let mut wal = Wal::open(&dir).unwrap().wal;
             for i in 0..3 {
-                wal.append(&rec(i)).unwrap();
+                wal.append_batch(&[rec(i)]).unwrap();
             }
             wal.sync().unwrap();
         }
@@ -708,7 +684,7 @@ mod tests {
         assert_eq!(opened.entries.len(), 3, "intact prefix survives");
         // the torn bytes were zeroed: appending continues cleanly
         let mut wal = opened.wal;
-        assert_eq!(wal.append(&rec(3)).unwrap(), 3);
+        assert_eq!(wal.append_batch(&[rec(3)]).unwrap(), 3);
         wal.sync().unwrap();
         let reopened = Wal::open(&dir).unwrap();
         assert!(!reopened.torn_tail);
@@ -722,7 +698,7 @@ mod tests {
         {
             let mut wal = Wal::open(&dir).unwrap().wal;
             for i in 0..4 {
-                wal.append(&rec(i)).unwrap();
+                wal.append_batch(&[rec(i)]).unwrap();
             }
             wal.sync().unwrap();
         }
@@ -750,7 +726,7 @@ mod tests {
         assert_eq!(opened.wal.position(), 2);
         // positions 2.. are reusable after the truncation
         let mut wal = opened.wal;
-        assert_eq!(wal.append(&rec(2)).unwrap(), 2);
+        assert_eq!(wal.append_batch(&[rec(2)]).unwrap(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -760,7 +736,7 @@ mod tests {
         {
             let mut wal = Wal::open_with_capacity(&dir, small_cap()).unwrap().wal;
             for i in 0..7 {
-                wal.append(&rec(i)).unwrap();
+                wal.append_batch(&[rec(i)]).unwrap();
             }
             wal.sync().unwrap();
             assert!(
@@ -785,7 +761,7 @@ mod tests {
             // small capacity so the batch is forced to roll mid-way
             let mut one = Wal::open_with_capacity(&dir_a, small_cap()).unwrap().wal;
             for r in &records {
-                one.append(r).unwrap();
+                one.append_batch(std::slice::from_ref(r)).unwrap();
             }
             one.sync().unwrap();
             let mut batched = Wal::open_with_capacity(&dir_b, small_cap()).unwrap().wal;
@@ -819,7 +795,7 @@ mod tests {
         let dir = tmp_dir("compact");
         let mut wal = Wal::open_with_capacity(&dir, small_cap()).unwrap().wal;
         for i in 0..6 {
-            wal.append(&rec(i)).unwrap();
+            wal.append_batch(&[rec(i)]).unwrap();
         }
         wal.sync().unwrap();
         let before = list_segments(&dir).unwrap().len();
@@ -831,7 +807,7 @@ mod tests {
             "fully covered segments are unlinked, not rewritten"
         );
         // appends after compaction continue at the right position
-        assert_eq!(wal.append(&rec(6)).unwrap(), 6);
+        assert_eq!(wal.append_batch(&[rec(6)]).unwrap(), 6);
         wal.sync().unwrap();
         drop(wal);
         let opened = Wal::open(&dir).unwrap();
@@ -850,7 +826,7 @@ mod tests {
         // physical extras are filtered by position on replay
         let mut wal = Wal::open(&dir).unwrap().wal;
         for i in 0..6 {
-            wal.append(&rec(i)).unwrap();
+            wal.append_batch(&[rec(i)]).unwrap();
         }
         wal.sync().unwrap();
         wal.compact_through(4).unwrap();
@@ -880,7 +856,7 @@ mod tests {
         let dir = tmp_dir("rebase");
         let mut wal = Wal::open_with_capacity(&dir, small_cap()).unwrap().wal;
         for i in 0..6 {
-            wal.append(&rec(i)).unwrap();
+            wal.append_batch(&[rec(i)]).unwrap();
         }
         wal.sync().unwrap();
         // rebase *below* the head: compact_through would keep entries
@@ -889,7 +865,7 @@ mod tests {
         assert_eq!(wal.base(), 3);
         assert_eq!(wal.position(), 3);
         assert_eq!(wal.tail_len(), 0);
-        assert_eq!(wal.append(&rec(3)).unwrap(), 3);
+        assert_eq!(wal.append_batch(&[rec(3)]).unwrap(), 3);
         wal.sync().unwrap();
         drop(wal);
         let opened = Wal::open(&dir).unwrap();
@@ -904,7 +880,7 @@ mod tests {
         {
             let mut wal = Wal::open(&dir).unwrap().wal;
             for i in 0..4 {
-                wal.append(&rec(i)).unwrap();
+                wal.append_batch(&[rec(i)]).unwrap();
             }
             wal.sync().unwrap();
             wal.compact_through(4).unwrap(); // empty log, base 4
@@ -917,7 +893,7 @@ mod tests {
         assert!(replay_from(&dir, 0).unwrap().is_empty());
         // appends continue at the re-based position
         let mut wal = opened.wal;
-        assert_eq!(wal.append(&rec(4)).unwrap(), 4);
+        assert_eq!(wal.append_batch(&[rec(4)]).unwrap(), 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -926,7 +902,7 @@ mod tests {
         let dir = tmp_dir("mid-replay");
         let mut wal = Wal::open(&dir).unwrap().wal;
         for i in 0..8 {
-            wal.append(&rec(i)).unwrap();
+            wal.append_batch(&[rec(i)]).unwrap();
         }
         wal.sync().unwrap();
         drop(wal);
@@ -951,11 +927,11 @@ mod tests {
     fn oversized_record_gets_its_own_segment() {
         let dir = tmp_dir("oversize");
         let mut wal = Wal::open_with_capacity(&dir, small_cap()).unwrap().wal;
-        wal.append(&rec(0)).unwrap();
+        wal.append_batch(&[rec(0)]).unwrap();
         let mut big = rec(1);
         big.title = "X".repeat(small_cap() * 3);
-        wal.append(&big).unwrap();
-        wal.append(&rec(2)).unwrap();
+        wal.append_batch(&[big]).unwrap();
+        wal.append_batch(&[rec(2)]).unwrap();
         wal.sync().unwrap();
         drop(wal);
         let opened = Wal::open(&dir).unwrap();

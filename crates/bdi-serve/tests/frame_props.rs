@@ -268,9 +268,7 @@ proptest! {
 
         // tiny capacity so multi-segment logs appear in small cases
         let mut wal = Wal::open_with_capacity(&dir, 512).unwrap().wal;
-        for record in &records {
-            wal.append(record).unwrap();
-        }
+        wal.append_batch(&records).unwrap();
         wal.sync().unwrap();
         drop(wal);
 
@@ -308,7 +306,7 @@ proptest! {
         // and the log stays appendable from wherever recovery landed
         let mut wal = opened.wal;
         let extra = record_from(&((9999, 0, "post-crash".into()), (vec![], vec![]), 1));
-        let pos = wal.append(&extra).unwrap();
+        let pos = wal.append_batch(std::slice::from_ref(&extra)).unwrap();
         wal.sync().unwrap();
         let replayed = replay_from(&dir, pos).unwrap();
         prop_assert_eq!(replayed.len(), 1, "post-recovery append replays");

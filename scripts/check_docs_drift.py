@@ -25,7 +25,14 @@ Cross-checks, in both directions:
 * the candidate-pruning counters: every `serve.engine.candidates.*`
   and `serve.linkage.postings.*` counter the server registers has a
   backticked row in PROTOCOL.md's metric-family table, and the table
-  names no pruning counter the code no longer registers.
+  names no pruning counter the code no longer registers;
+* the CLI flags: every flag a `bdi` subcommand reads (the `COMMANDS`
+  table in src/bin/bdi.rs, which is also what the parser enforces)
+  appears in that subcommand's `USAGE` lines and in
+  docs/OPERATIONS.md or a crate README, `USAGE` names no flag that no
+  subcommand reads, and no `bdi <subcommand> ...` command line in the
+  docs, the verify skill or the CI workflow passes a flag that
+  subcommand would reject.
 
 Run from the repo root: `python3 scripts/check_docs_drift.py`.
 """
@@ -270,6 +277,79 @@ for doc, path in [(http_api_md, HTTP_API_MD), (protocol_md, PROTOCOL_MD)]:
         f"the X-Bdi-Trace header is not documented in {path.name}",
     )
 
+# 9. CLI flags: the per-subcommand lists the parser enforces vs USAGE,
+#    the operator docs and every documented / CI command line
+bdi_rs = (ROOT / "src/bin/bdi.rs").read_text()
+m = re.search(r"const COMMANDS:[^=]*=\s*&\[(.*?)\n\];", bdi_rs, re.DOTALL)
+check(m, "COMMANDS table not found in src/bin/bdi.rs")
+cli_flags = {}  # subcommand -> set of flags it reads
+for cmd, flags in re.findall(
+    r'\(\s*"([\w-]+)",\s*cmd_\w+,\s*&\[(.*?)\],?\s*\)',
+    m.group(1) if m else "",
+    re.DOTALL,
+):
+    cli_flags[cmd] = set(re.findall(r'"([\w-]+)"', flags))
+check(len(cli_flags) >= 8, f"suspiciously few bdi subcommands: {sorted(cli_flags)}")
+all_flags = set().union(*cli_flags.values()) if cli_flags else set()
+
+m = re.search(r'const USAGE: &str = "\\\n(.*?)";', bdi_rs, re.DOTALL)
+check(m, "USAGE text not found in src/bin/bdi.rs")
+usage = m.group(1) if m else ""
+FLAG = r"--([a-z][\w-]*)"
+for cmd, flags in sorted(cli_flags.items()):
+    # the subcommand's synopsis: its `  bdi <cmd>` line plus the more
+    # deeply indented continuation lines under it
+    block = re.search(rf"^  bdi {cmd}\b.*(?:\n {{4,}}\S.*)*", usage, re.MULTILINE)
+    check(block, f"USAGE has no synopsis line for `bdi {cmd}`")
+    synopsis = set(re.findall(FLAG, block.group(0))) if block else set()
+    for flag in sorted(flags - synopsis):
+        errors.append(f"`bdi {cmd}` reads --{flag} but its USAGE synopsis omits it")
+    for flag in sorted(synopsis - flags):
+        errors.append(
+            f"USAGE lists --{flag} for `bdi {cmd}` but the subcommand does not read it"
+        )
+for flag in sorted(set(re.findall(FLAG, usage)) - all_flags):
+    errors.append(f"USAGE mentions --{flag} but no subcommand reads it")
+
+flag_docs = [
+    ROOT / "docs/OPERATIONS.md",
+    ROOT / "crates/bdi-serve/README.md",
+    ROOT / "README.md",
+]
+documented_flags = set()
+for path in flag_docs:
+    documented_flags.update(re.findall(FLAG, path.read_text()))
+for flag in sorted(all_flags - documented_flags):
+    errors.append(
+        f"--{flag} is read by the CLI but documented in none of "
+        + ", ".join(str(p.relative_to(ROOT)) for p in flag_docs)
+    )
+
+# every `bdi <subcommand> ...` command line, wherever it is written down
+command_docs = sorted(
+    [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "ROADMAP.md"]
+    + list((ROOT / "docs").glob("*.md"))
+    + list((ROOT / "crates").glob("*/README.md"))
+    + list((ROOT / ".claude").rglob("*.md"))
+    + list((ROOT / ".github/workflows").glob("*.yml"))
+)
+subcommands = "|".join(sorted(cli_flags))
+for path in command_docs:
+    # join shell continuation lines so a command is one logical line
+    text = re.sub(r"\\\n\s*", " ", path.read_text())
+    for cmd, rest in re.findall(
+        rf"\bbdi(?: --)? +({subcommands})\b([^\n]*)", text
+    ):
+        # the command's own arguments end at a pipe, a chained command,
+        # a comment, or the closing backtick of inline code
+        args = re.split(r"[|;`#]|&&", rest, maxsplit=1)[0]
+        for flag in re.findall(FLAG, args):
+            check(
+                flag in cli_flags[cmd],
+                f"{path.relative_to(ROOT)} runs `bdi {cmd}` with --{flag}, "
+                "which that subcommand does not read",
+            )
+
 if errors:
     for e in errors:
         print(f"::error::{e}")
@@ -277,5 +357,6 @@ if errors:
 print(
     f"docs in sync: {len(requests)} wire commands, {len(responses)} responses, "
     f"{len(code_ops)} binary opcodes, {len(span_names)} trace span names, "
+    f"{len(all_flags)} CLI flags across {len(cli_flags)} subcommands, "
     "HTTP index routes and endpoint labels all documented"
 )

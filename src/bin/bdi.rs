@@ -38,29 +38,22 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let opts = match parse_opts(cmd, rest) {
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some((_, run, flags)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        eprintln!("error: unknown command '{cmd}'");
+        return ExitCode::FAILURE;
+    };
+    let opts = match parse_opts(cmd, flags, rest) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(&opts),
-        "integrate" => cmd_integrate(&opts),
-        "lookup" => cmd_lookup(&opts),
-        "serve" => cmd_serve(&opts),
-        "route" => cmd_route(&opts),
-        "load" => cmd_load(&opts),
-        "stats" => cmd_stats(&opts),
-        "admin" => cmd_admin(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'")),
-    };
-    match result {
+    match run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -76,10 +69,10 @@ USAGE:
   bdi generate  --seed N [--entities N] [--sources N] --out DIR
   bdi integrate (--in DIR | --seed N [--entities N] [--sources N])
                 [--fusion vote|truthfinder|accu|accucopy] [--json]
-  bdi lookup    (--in DIR | --seed N) --id IDENTIFIER
+  bdi lookup    (--in DIR | --seed N [--entities N] [--sources N])
+                [--fusion vote|truthfinder|accu|accucopy] --id IDENTIFIER
   bdi serve     [--addr HOST:PORT] [--http HOST:PORT] [--in DIR | --seed N [--entities N] [--sources N]]
-                [--threshold X] [--queue N] [--shards N] [--engine-threads N]
-                [--workers N]
+                [--threshold X] [--queue N] [--shards N] [--workers N]
                 [--data-dir DIR [--sync-interval N] [--snapshot-every N]]
                 [--metrics-file PATH [--metrics-interval SECS]] [--slow-ms MS]
                 [--trace-sample N]
@@ -121,9 +114,8 @@ started with the same --threshold) over pipelined, batched connections
 and scatter-gathers reads, so clients talk to one address. --batch sets
 records per backend request (default 64), --pipeline the batches in
 flight per backend (default 4), --queue the per-backend router buffer
-(default 1024). --engine-threads caps one backend's linkage thread pool
-(default 0 = all cores) — set it to cores/backends when packing several
-backends onto one machine.
+(default 1024). A backend links and fuses on one ingest thread, so
+several backends pack onto one machine at about a core each.
 
 Replication: with --replicas R, consecutive groups of R --backends
 form one shard; ingest mirrors onto every replica and reads fail over
@@ -151,13 +143,113 @@ with `bdi admin --trace ID` (ID in hex, as logged/printed), list
 recent ids with `bdi admin --trace-recent N`, or use the HTTP gateway
 (`GET /trace/:id`, `X-Bdi-Trace` — see docs/HTTP_API.md).";
 
-fn parse_opts(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+type Opts = HashMap<String, String>;
+type Run = fn(&Opts) -> Result<(), String>;
+
+/// Every subcommand: its name, its entry point and every flag it reads.
+/// `parse_opts` rejects the rest, so a typo or a flag from another
+/// subcommand is an error instead of a silently ignored setting.
+/// `scripts/check_docs_drift.py` holds USAGE, the operator docs and the
+/// CI workflow to these lists.
+const COMMANDS: &[(&str, Run, &[&str])] = &[
+    (
+        "generate",
+        cmd_generate,
+        &["seed", "entities", "sources", "out"],
+    ),
+    (
+        "integrate",
+        cmd_integrate,
+        &["in", "seed", "entities", "sources", "fusion", "json"],
+    ),
+    (
+        "lookup",
+        cmd_lookup,
+        &["in", "seed", "entities", "sources", "fusion", "id"],
+    ),
+    (
+        "serve",
+        cmd_serve,
+        &[
+            "addr",
+            "http",
+            "in",
+            "seed",
+            "entities",
+            "sources",
+            "threshold",
+            "queue",
+            "shards",
+            "workers",
+            "data-dir",
+            "sync-interval",
+            "snapshot-every",
+            "metrics-file",
+            "metrics-interval",
+            "slow-ms",
+            "trace-sample",
+        ],
+    ),
+    (
+        "route",
+        cmd_route,
+        &[
+            "backends",
+            "addr",
+            "http",
+            "replicas",
+            "retries",
+            "workers",
+            "threshold",
+            "batch",
+            "pipeline",
+            "queue",
+            "trace-sample",
+        ],
+    ),
+    (
+        "load",
+        cmd_load,
+        &[
+            "addr",
+            "seed",
+            "entities",
+            "sources",
+            "max-source-size",
+            "readers",
+            "batch",
+            "http",
+            "binary",
+            "trace-sample",
+        ],
+    ),
+    ("stats", cmd_stats, &["addr", "prometheus"]),
+    (
+        "admin",
+        cmd_admin,
+        &[
+            "addr",
+            "hello",
+            "split",
+            "backends",
+            "replace",
+            "backend",
+            "trace",
+            "trace-recent",
+        ],
+    ),
+];
+
+fn parse_opts(cmd: &str, known: &[&str], args: &[String]) -> Result<Opts, String> {
     let mut out = HashMap::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let Some(key) = flag.strip_prefix("--") else {
             return Err(format!("expected --flag, got '{flag}'"));
         };
+        if !known.contains(&key) {
+            return Err(format!("unknown flag '--{key}' for '{cmd}'"));
+        }
         // `--http` is a boolean for `load` (drive the server over HTTP)
         // but takes a bind address for `serve`/`route`.
         let boolean = matches!(key, "json" | "prometheus" | "hello" | "binary")
@@ -174,11 +266,7 @@ fn parse_opts(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, Str
     Ok(out)
 }
 
-fn num<T: std::str::FromStr>(
-    opts: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
+fn num<T: std::str::FromStr>(opts: &Opts, key: &str, default: T) -> Result<T, String> {
     match opts.get(key) {
         None => Ok(default),
         Some(v) => v
@@ -187,7 +275,7 @@ fn num<T: std::str::FromStr>(
     }
 }
 
-fn world_from_opts(opts: &HashMap<String, String>) -> Result<World, String> {
+fn world_from_opts(opts: &Opts) -> Result<World, String> {
     let cfg = WorldConfig {
         seed: num(opts, "seed", 42u64)?,
         n_entities: num(opts, "entities", 500usize)?,
@@ -201,9 +289,7 @@ fn world_from_opts(opts: &HashMap<String, String>) -> Result<World, String> {
 }
 
 /// Load `(dataset, truth?)` from `--in`, or generate from `--seed`.
-fn load_or_generate(
-    opts: &HashMap<String, String>,
-) -> Result<(Dataset, Option<GroundTruth>), String> {
+fn load_or_generate(opts: &Opts) -> Result<(Dataset, Option<GroundTruth>), String> {
     if let Some(dir) = opts.get("in") {
         let ds_text = std::fs::read_to_string(format!("{dir}/dataset.json"))
             .map_err(|e| format!("{dir}/dataset.json: {e}"))?;
@@ -219,7 +305,7 @@ fn load_or_generate(
     }
 }
 
-fn pipeline_config(opts: &HashMap<String, String>) -> Result<PipelineConfig, String> {
+fn pipeline_config(opts: &Opts) -> Result<PipelineConfig, String> {
     let fusion = match opts.get("fusion").map(String::as_str) {
         None | Some("accucopy") => FusionMethod::AccuCopy,
         Some("accu") => FusionMethod::Accu,
@@ -233,7 +319,7 @@ fn pipeline_config(opts: &HashMap<String, String>) -> Result<PipelineConfig, Str
     })
 }
 
-fn cmd_generate(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_generate(opts: &Opts) -> Result<(), String> {
     let out = opts.get("out").ok_or("generate needs --out DIR")?;
     let w = world_from_opts(opts)?;
     std::fs::create_dir_all(out).map_err(|e| e.to_string())?;
@@ -261,7 +347,7 @@ fn cmd_generate(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_integrate(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_integrate(opts: &Opts) -> Result<(), String> {
     let (ds, truth) = load_or_generate(opts)?;
     let cfg = pipeline_config(opts)?;
     let res = run_pipeline(&ds, &cfg).map_err(|e| e.to_string())?;
@@ -278,7 +364,7 @@ fn cmd_integrate(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let preload = if opts.contains_key("in") || opts.contains_key("seed") {
         let (ds, _) = load_or_generate(opts)?;
         ds.into_records()
@@ -303,7 +389,6 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
         threshold: num(opts, "threshold", 0.9f64)?,
         queue_capacity: num(opts, "queue", 256usize)?,
         shards: num(opts, "shards", 8usize)?,
-        engine_threads: num(opts, "engine-threads", 0usize)?,
         preload,
         durability,
         slow_ms: opts
@@ -337,7 +422,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_route(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_route(opts: &Opts) -> Result<(), String> {
     let backends: Vec<String> = opts
         .get("backends")
         .ok_or("route needs --backends HOST:PORT,HOST:PORT,...")?
@@ -378,7 +463,7 @@ fn cmd_route(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_load(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_load(opts: &Opts) -> Result<(), String> {
     let addr = opts
         .get("addr")
         .cloned()
@@ -466,7 +551,7 @@ fn cmd_load(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_admin(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_admin(opts: &Opts) -> Result<(), String> {
     let addr = opts
         .get("addr")
         .cloned()
@@ -572,7 +657,7 @@ fn print_trace_node(node: &bdi::serve::TraceTreeNode, depth: usize) {
     }
 }
 
-fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_stats(opts: &Opts) -> Result<(), String> {
     let addr = opts
         .get("addr")
         .cloned()
@@ -594,7 +679,7 @@ fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_lookup(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_lookup(opts: &Opts) -> Result<(), String> {
     let id = opts.get("id").ok_or("lookup needs --id IDENTIFIER")?;
     let (ds, _) = load_or_generate(opts)?;
     let cfg = pipeline_config(opts)?;
@@ -614,5 +699,64 @@ fn cmd_lookup(opts: &HashMap<String, String>) -> Result<(), String> {
             Ok(())
         }
         None => Err(format!("identifier '{id}' not found in the fused catalog")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{parse_opts, COMMANDS};
+
+    fn parse(cmd: &str, args: &[&str]) -> Result<Vec<String>, String> {
+        let (_, _, known) = COMMANDS
+            .iter()
+            .find(|(name, ..)| *name == cmd)
+            .expect("a real subcommand");
+        let args: Vec<String> = args.iter().map(|a| (*a).to_string()).collect();
+        parse_opts(cmd, known, &args).map(|opts| {
+            let mut keys: Vec<String> = opts.into_keys().collect();
+            keys.sort();
+            keys
+        })
+    }
+
+    #[test]
+    fn flags_a_subcommand_reads_are_accepted() {
+        assert_eq!(
+            parse("serve", &["--data-dir", "/x", "--workers", "2"]),
+            Ok(vec!["data-dir".to_string(), "workers".to_string()])
+        );
+        // `--http` takes a value for serve, none for load
+        assert_eq!(
+            parse("load", &["--http", "--binary"]),
+            Ok(vec!["binary".to_string(), "http".to_string()])
+        );
+    }
+
+    #[test]
+    fn a_typo_is_an_error_not_an_in_memory_server() {
+        assert_eq!(
+            parse("serve", &["--datadir", "/x"]),
+            Err("unknown flag '--datadir' for 'serve'".to_string())
+        );
+    }
+
+    #[test]
+    fn a_removed_flag_is_an_error_not_a_no_op() {
+        assert_eq!(
+            parse("serve", &["--no-wal", "1"]),
+            Err("unknown flag '--no-wal' for 'serve'".to_string())
+        );
+    }
+
+    #[test]
+    fn another_subcommands_flag_is_an_error() {
+        assert_eq!(
+            parse("serve", &["--backends", "127.0.0.1:1"]),
+            Err("unknown flag '--backends' for 'serve'".to_string())
+        );
+        assert_eq!(
+            parse("route", &["--data-dir", "/x"]),
+            Err("unknown flag '--data-dir' for 'route'".to_string())
+        );
     }
 }

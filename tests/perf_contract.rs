@@ -31,7 +31,7 @@ fn dense_world_comparisons_per_insert_stay_under_ceiling() {
     let total = records.len() as u64;
     assert!(total > 1000, "dense world generates a real stream");
 
-    let mut engine = Engine::with_threads(0.9, 1);
+    let mut engine = Engine::new(0.9);
     for r in records {
         engine.ingest(r);
     }

@@ -1,19 +1,22 @@
-//! Engine-side batch apply must be indistinguishable from per-record
-//! ingest: two durable servers fed the same record stream — one via
-//! single `ingest` requests, one via mixed-size `ingest_batch` chunks —
-//! must agree on every observable (stats, comparison counts, every
-//! lookup, ranked queries), both live and after a SIGKILL restart that
-//! recovers each from its snapshot + WAL tail.
+//! How a record stream is cut into requests must be unobservable: three
+//! durable servers fed the same stream — one via awaited single
+//! `ingest` requests, one via awaited mixed-size `ingest_batch` chunks,
+//! one via pipelined, un-awaited singles and batches of 1…100 records
+//! (so several requests really coalesce into one worker cycle) — must
+//! agree on every observable (stats, comparison counts, every lookup),
+//! both live and after a SIGKILL restart that recovers each from its
+//! snapshot + WAL tail.
 //!
-//! The WAL layer pins byte-identical segments for batch vs per-record
-//! appends (a `bdi-serve` unit test); this test pins the whole stack:
-//! dispatch, the worker's transactional batch cycle, publish, snapshot
-//! and replay.
+//! The WAL layer pins byte-identical segments however records are
+//! grouped into appends (a `bdi-serve` unit test); this test pins the
+//! whole stack: dispatch, the worker's one ingest cycle, publish,
+//! snapshot and replay.
 
-use bdi::serve::Client;
+use bdi::serve::{Client, Request};
 use bdi::synth::{World, WorldConfig};
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
+use bdi::types::Record;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
@@ -71,6 +74,48 @@ impl Drop for ServeProc {
     }
 }
 
+/// Send `records` down one connection as back-to-back requests without
+/// waiting for any ack — singles as `ingest`, the rest as `ingest_batch`
+/// of cycling sizes up to 100 — so requests queue behind the worker's
+/// running cycle and the next cycle takes several at once. Acks are
+/// drained on a second thread so neither side can stall on a full
+/// socket buffer. Returns how many requests carried the stream.
+fn ingest_pipelined(addr: SocketAddr, records: Vec<Record>) -> usize {
+    let mut writer = TcpStream::connect(addr).expect("connect pipelined");
+    let reader = BufReader::new(writer.try_clone().expect("clone socket"));
+    let acks = std::thread::spawn(move || {
+        reader
+            .lines()
+            .map(|line| line.expect("read ack"))
+            .inspect(|line| assert!(line.contains("\"ack\""), "not an ack: {line}"))
+            .count()
+    });
+    let sizes = [1usize, 1, 5, 1, 100, 1, 1, 2, 37, 1, 64, 1, 1, 1, 16];
+    let mut stream = records.into_iter().peekable();
+    let mut requests = 0usize;
+    while stream.peek().is_some() {
+        let mut chunk: Vec<Record> = stream
+            .by_ref()
+            .take(sizes[requests % sizes.len()])
+            .collect();
+        let request = match chunk.len() {
+            1 => Request::Ingest {
+                record: chunk.remove(0),
+            },
+            _ => Request::IngestBatch { records: chunk },
+        };
+        let mut line = serde_json::to_string(&request).expect("request serializes");
+        line.push('\n');
+        writer.write_all(line.as_bytes()).expect("send request");
+        requests += 1;
+    }
+    writer
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    assert_eq!(acks.join().expect("ack reader"), requests, "one ack each");
+    requests
+}
+
 /// Assert the two servers answer identically: stream accounting,
 /// linkage work performed, and the catalog entry behind every
 /// identifier in the world.
@@ -101,7 +146,7 @@ fn assert_servers_agree(a: &mut Client, b: &mut Client, identifiers: &[String], 
 
 #[test]
 fn batched_ingest_matches_per_record_ingest_live_and_after_recovery() {
-    let dirs: Vec<PathBuf> = ["single", "batched"]
+    let dirs: Vec<PathBuf> = ["single", "batched", "pipelined"]
         .iter()
         .map(|tag| {
             let d = std::env::temp_dir()
@@ -130,12 +175,15 @@ fn batched_ingest_matches_per_record_ingest_live_and_after_recovery() {
 
     let single = ServeProc::start(&dirs[0]);
     let batched = ServeProc::start(&dirs[1]);
+    let pipelined = ServeProc::start(&dirs[2]);
     let mut a = Client::connect(single.addr).expect("connect single");
     let mut b = Client::connect(batched.addr).expect("connect batched");
+    let mut c = Client::connect(pipelined.addr).expect("connect pipelined");
 
-    // same stream, two request shapes: per-record on A, mixed-size
+    // same stream, three request shapes: per-record on A, mixed-size
     // chunks on B (sizes cycle so partial, single and large batches,
-    // and the final ragged chunk, all occur)
+    // and the final ragged chunk, all occur), un-awaited on C
+    let requests = ingest_pipelined(pipelined.addr, records.clone());
     for r in records.iter().cloned() {
         a.ingest(r).expect("ingest");
     }
@@ -152,28 +200,39 @@ fn batched_ingest_matches_per_record_ingest_live_and_after_recovery() {
     }
     let (_, applied_a) = a.flush().expect("flush A");
     let (_, applied_b) = b.flush().expect("flush B");
+    let (cycles_c, applied_c) = c.flush().expect("flush C");
     assert_eq!(applied_a as usize, total);
     assert_eq!(applied_b as usize, total);
+    assert_eq!(applied_c as usize, total);
+    // a fresh server's generation counts its publishes: fewer cycles
+    // than requests means queued requests shared one
+    assert!(
+        (cycles_c as usize) < requests,
+        "{requests} pipelined requests never coalesced ({cycles_c} cycles)"
+    );
     assert_servers_agree(&mut a, &mut b, &identifiers, "live");
+    assert_servers_agree(&mut a, &mut c, &identifiers, "live, pipelined");
 
     // SIGKILL both (no graceful drain) and recover: each restart loads
     // its snapshot and replays its WAL tail. The batched server's log
     // was written by group appends — recovery must not be able to tell.
-    drop(a);
-    drop(b);
+    drop((a, b, c));
     single.kill_hard();
     batched.kill_hard();
+    pipelined.kill_hard();
     let single = ServeProc::start(&dirs[0]);
     let batched = ServeProc::start(&dirs[1]);
+    let pipelined = ServeProc::start(&dirs[2]);
     let mut a = Client::connect(single.addr).expect("reconnect single");
     let mut b = Client::connect(batched.addr).expect("reconnect batched");
+    let mut c = Client::connect(pipelined.addr).expect("reconnect pipelined");
     let stats = a.stats().expect("stats after recovery");
     assert!(stats.durable, "restarted server reports durability");
     assert_eq!(stats.records, total, "everything flushed was recovered");
     assert_servers_agree(&mut a, &mut b, &identifiers, "after recovery");
+    assert_servers_agree(&mut a, &mut c, &identifiers, "after recovery, pipelined");
 
-    drop(single);
-    drop(batched);
+    drop((single, batched, pipelined));
     for d in dirs {
         let _ = std::fs::remove_dir_all(d);
     }

@@ -147,8 +147,18 @@ fn killed_replica_fails_over_and_stays_equivalent() {
     }
     assert!(failed_over, "a read was re-sent to the surviving replica");
 
-    // the rest of the stream ingests against the degraded shard: copies
-    // for the dead lane are dropped and counted, the survivor gets all
+    // shard 1 loses its *mirror* (replica 1, which no read prefers), so
+    // only the ingest lane can notice; `shutdown` answering means the
+    // backend refuses ingest from here on
+    let mirror = backends.remove(2);
+    Client::connect(mirror.addr())
+        .expect("connect mirror")
+        .shutdown()
+        .expect("mirror acknowledges shutdown");
+    let reaper = std::thread::spawn(move || mirror.shutdown());
+
+    // the rest of the stream ingests against the degraded shards: copies
+    // for the dead lanes are dropped and counted, the survivors get all
     for chunk in records[cut..].chunks(32) {
         client.ingest_batch(chunk.to_vec()).unwrap();
     }
@@ -159,10 +169,15 @@ fn killed_replica_fails_over_and_stays_equivalent() {
         counter(&mut client, "route.shard0.replica0.errors") >= 1,
         "the dead lane's error counter names shard 0 replica 0"
     );
+    assert!(
+        counter(&mut client, "route.shard1.replica1.errors") >= 1,
+        "a dead mirror shows in its own lane's error counter"
+    );
 
     drop(client);
     router.shutdown();
     killer.join().expect("backend shutdown completed");
+    reaper.join().expect("mirror shutdown completed");
     for b in backends {
         b.shutdown();
     }

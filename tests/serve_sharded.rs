@@ -88,14 +88,30 @@ fn sharded_clustering_matches_single_node() {
         }
         client.flush().unwrap();
 
-        // the partitioning is real: every shard holds part of the stream
+        // the partitioning is real: every shard holds part of the
+        // stream, and the router's merged `stats` is exactly the sum of
+        // what the backends report directly
+        let mut sum = (0usize, 0u64, 0u64, 0usize);
         for (i, b) in backends.iter().enumerate() {
             let mut direct = Client::connect(b.addr()).unwrap();
-            assert!(
-                direct.stats().unwrap().records > 0,
-                "shard {i}/{shards} received records"
-            );
+            let s = direct.stats().unwrap();
+            assert!(s.records > 0, "shard {i}/{shards} received records");
+            sum.0 += s.records;
+            sum.1 += s.submitted;
+            sum.2 += s.applied;
+            sum.3 += s.products;
         }
+        let merged = client.stats().unwrap();
+        assert_eq!(
+            (
+                merged.records,
+                merged.submitted,
+                merged.applied,
+                merged.products
+            ),
+            sum,
+            "router stats (records, submitted, applied, products) == sum over {shards} backends"
+        );
 
         let mut checked = 0usize;
         for entry in reference.entries() {
