@@ -4,8 +4,9 @@
 //! subcommand.
 
 use crate::frame;
-use crate::protocol::{MetricsBody, Request, Response, StatsBody, TraceBody, TraceTree};
-use crate::server::{FEATURE_BINARY, FEATURE_TRACE};
+use crate::protocol::{
+    MetricsBody, Request, Response, StatsBody, TraceBody, TraceTree, FEATURE_BINARY, FEATURE_TRACE,
+};
 use crate::snapshot::Snapshot;
 use bdi_core::catalog::CatalogEntry;
 use bdi_obs::TraceContext;
@@ -169,12 +170,6 @@ impl Client {
         self.conn.binary = features.iter().any(|f| f == FEATURE_BINARY);
         self.conn.trace = features.iter().any(|f| f == FEATURE_TRACE);
         Ok(self.conn.binary)
-    }
-
-    /// Whether [`Client::negotiate_binary`] switched this connection to
-    /// the binary wire path.
-    pub fn is_binary(&self) -> bool {
-        self.conn.binary
     }
 
     /// Whether the last `hello` (via [`Client::negotiate_binary`] or
@@ -425,8 +420,8 @@ impl Client {
 
 /// One keep-alive connection to the HTTP/1.1 gateway — the same server
 /// and port as [`Client`] (the front-end sniffs the protocol). Just
-/// enough HTTP for the load driver, the integration tests, and the CI
-/// smoke: `Content-Length` framing, no chunking, no redirects.
+/// enough HTTP for the integration tests: `Content-Length` framing, no
+/// chunking, no redirects.
 ///
 /// Success bodies are the wire response objects (see
 /// `docs/HTTP_API.md`), so the typed helpers parse them with the same

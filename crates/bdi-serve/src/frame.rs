@@ -54,7 +54,7 @@
 //! segment file that already knows its own format.
 
 use crate::engine::EngineState;
-use crate::protocol::{Request, Response};
+use crate::protocol::{Request, Response, WIRE};
 use crate::snapshot::Snapshot;
 use bdi_core::catalog::{Catalog, CatalogEntry};
 use bdi_types::{Record, RecordId, SourceId, Unit, Value};
@@ -108,22 +108,6 @@ pub const OP_ERROR: u8 = 0x09;
 pub const FLAG_TRACE: u8 = 0x01;
 /// Size of the [`FLAG_TRACE`] payload prefix.
 pub const TRACE_EXT_LEN: usize = 16;
-
-/// Every opcode with its wire name, in opcode order. The docs-drift
-/// check cross-references this table against the "binary frames"
-/// section of PROTOCOL.md, and the names deliberately match the JSON
-/// commands they mirror.
-pub const OPCODES: &[(u8, &str)] = &[
-    (OP_INGEST_BATCH, "ingest_batch"),
-    (OP_FLUSH, "flush"),
-    (OP_SYNC, "sync"),
-    (OP_RESTORE, "restore"),
-    (OP_ACK, "ack"),
-    (OP_FLUSHED, "flushed"),
-    (OP_SYNC_STATE, "sync_state"),
-    (OP_RESTORED, "restored"),
-    (OP_ERROR, "error"),
-];
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -872,32 +856,28 @@ pub fn encode_request(buf: &mut Vec<u8>, request: &Request) -> bool {
 
 /// [`encode_request`] carrying an optional `(trace id, parent span id)`
 /// context as the frame extension. Callers must only pass `Some` to a
-/// peer that negotiated the `trace-context` feature.
+/// peer that negotiated the `trace-context` feature. The opcode is the
+/// request's [`WIRE`] row's.
 pub fn encode_request_traced(
     buf: &mut Vec<u8>,
     request: &Request,
     trace: Option<(u64, u64)>,
 ) -> bool {
-    match request {
-        Request::IngestBatch { records } => {
-            encode_frame_traced_into(buf, OP_INGEST_BATCH, trace, |b| put_records(b, records))
-        }
-        Request::Flush => encode_frame_traced_into(buf, OP_FLUSH, trace, |_| {}),
-        Request::Sync { from } => encode_frame_traced_into(buf, OP_SYNC, trace, |b| {
-            put_u64(b, *from);
-        }),
+    let Some(opcode) = WIRE[request.row()].opcode else {
+        buf.clear();
+        return false;
+    };
+    encode_frame_traced_into(buf, opcode, trace, |b| match request {
+        Request::IngestBatch { records } => put_records(b, records),
+        Request::Sync { from } => put_u64(b, *from),
         Request::Restore {
             snapshot,
             tail,
             position,
-        } => encode_frame_traced_into(buf, OP_RESTORE, trace, |b| {
-            put_state_body(b, *position, snapshot.as_ref(), tail)
-        }),
-        _ => {
-            buf.clear();
-            return false;
-        }
-    }
+        } => put_state_body(b, *position, snapshot.as_ref(), tail),
+        // `flush` carries no payload
+        _ => {}
+    });
     true
 }
 

@@ -14,11 +14,10 @@
 //!
 //! * `200` — any success response;
 //! * `400` — unparseable body/query, or a dispatch error beginning with
-//!   `bad request` / naming a role mismatch (`router-only` /
-//!   `backend-only`);
+//!   `bad request`;
 //! * `404` — `GET /lookup/:id` where the identifier resolves to no
-//!   entry, or an unknown path;
-//! * `405` — known path, wrong method;
+//!   entry, or a path no [`WIRE`] route matches;
+//! * `405` — a path some [`WIRE`] route matches under another method;
 //! * `503` — the service cannot take the request *right now*
 //!   (`shutting down`, `ingest queue closed`, a dead shard) — retry
 //!   against a healthy node;
@@ -33,20 +32,8 @@
 //! `Content-Type`, and `Content-Length` — with no body bytes on the
 //! wire, as HTTP/1.1 requires.
 //!
-//! Endpoints (full reference with `curl` examples: `docs/HTTP_API.md`):
-//!
-//! | endpoint | wire command |
-//! |---|---|
-//! | `GET /lookup/:id` | `lookup` |
-//! | `GET /filter?attribute=&min=&max=&limit=` | `filter` |
-//! | `GET /top_k?attribute=&k=` | `top_k` |
-//! | `POST /ingest` (object or array body) | `ingest` / `ingest_batch` |
-//! | `POST /flush` | `flush` |
-//! | `GET /stats` | `stats` |
-//! | `GET /metrics` | `metrics` (Prometheus text) |
-//! | `GET /trace/:id`, `GET /trace/recent?n=` | `trace` |
-//! | `POST /shutdown` | `shutdown` |
-//! | `GET /` | endpoint index (no wire equivalent) |
+//! The endpoints are the HTTP column of [`WIRE`], listed at `GET /`
+//! (full reference with `curl` examples: `docs/HTTP_API.md`).
 //!
 //! **Request tracing.** The gateway is the trace entry hop: when the
 //! service's sampling policy picks a request (or the client sends an
@@ -56,9 +43,12 @@
 //! response carries `X-Bdi-Trace: <trace-id>` so the caller can fetch
 //! the assembled tree from `GET /trace/:id`.
 
-use crate::protocol::{Request, Response, TraceTree};
+use crate::protocol::{
+    Request, Response, Route, TraceTree, DEFAULT_TOP_K, DEFAULT_TRACE_RECENT, WIRE,
+};
 use bdi_obs::{Counter, Histogram, Registry, TraceContext, Tracer};
-use bdi_types::Record;
+use std::collections::BTreeMap;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -185,10 +175,7 @@ pub(crate) fn fatal(status: u16, message: &str) -> HttpResponse {
 /// contract is the message prefix — pinned by tests here and by the
 /// error table in `docs/PROTOCOL.md`.
 fn error_status(message: &str) -> u16 {
-    if message.starts_with("bad request")
-        || message.starts_with("router-only")
-        || message.starts_with("backend-only")
-    {
+    if message.starts_with("bad request") {
         400
     } else if message.starts_with("shutting down")
         || message.starts_with("ingest queue closed")
@@ -202,37 +189,41 @@ fn error_status(message: &str) -> u16 {
     }
 }
 
-/// Endpoint labels for the `<prefix>.http.<endpoint>.latency_ns`
-/// histogram family, in [`endpoint_slot`] order.
-pub(crate) const HTTP_ENDPOINTS: [&str; 10] = [
-    "lookup", "filter", "top_k", "ingest", "flush", "stats", "metrics", "trace", "shutdown",
-    "other",
-];
-
-fn endpoint_slot(endpoint: &str) -> usize {
-    HTTP_ENDPOINTS
-        .iter()
-        .position(|&e| e == endpoint)
-        .unwrap_or(HTTP_ENDPOINTS.len() - 1)
+/// Every HTTP route with its [`WIRE`] row, in table order.
+fn routes() -> impl Iterator<Item = (usize, &'static Route)> {
+    (0..WIRE.len()).flat_map(|row| WIRE[row].http.iter().map(move |route| (row, route)))
 }
 
 /// Per-service HTTP metric handles, resolved once at startup: request
 /// and error counters plus one latency histogram per endpoint, under
 /// `<prefix>.http.*` (`serve.http.*` on a backend, `route.http.*` on a
-/// router).
+/// router). An endpoint is the name of the [`WIRE`] row whose route a
+/// request matched, or `other` (`GET /`, 404s and 405s).
 pub(crate) struct HttpMetrics {
     requests: Counter,
     errors: Counter,
-    latency_ns: [Arc<Histogram>; HTTP_ENDPOINTS.len()],
+    /// By [`WIRE`] row; `None` for rows no request is labelled with —
+    /// no route, or only routes an earlier row declares first.
+    latency_ns: [Option<Arc<Histogram>>; WIRE.len()],
+    other_ns: Arc<Histogram>,
 }
 
 impl HttpMetrics {
     pub(crate) fn register(registry: &Registry, prefix: &str) -> Self {
+        let histogram =
+            |label: &str| registry.histogram(&format!("{prefix}.http.{label}.latency_ns"));
         Self {
             requests: registry.counter(&format!("{prefix}.http.requests")),
             errors: registry.counter(&format!("{prefix}.http.errors")),
-            latency_ns: HTTP_ENDPOINTS
-                .map(|e| registry.histogram(&format!("{prefix}.http.{e}.latency_ns"))),
+            latency_ns: std::array::from_fn(|row| {
+                let first = |route| !WIRE[..row].iter().any(|spec| spec.http.contains(route));
+                WIRE[row]
+                    .http
+                    .iter()
+                    .any(first)
+                    .then(|| histogram(WIRE[row].name))
+            }),
+            other_ns: histogram("other"),
         }
     }
 }
@@ -283,15 +274,17 @@ fn query_param(query: &str, key: &str) -> Option<String> {
     })
 }
 
-fn num_param(query: &str, key: &str) -> Result<Option<f64>, String> {
+/// A numeric query parameter: absent or empty is `None`, a value that
+/// does not parse is a `400` message.
+fn num_param<T: FromStr>(query: &str, key: &str) -> Result<Option<T>, String> {
     match query_param(query, key) {
-        None => Ok(None),
-        Some(v) if v.is_empty() => Ok(None),
-        Some(v) => v
-            .parse::<f64>()
-            .map(Some)
-            .map_err(|_| format!("bad request: query parameter '{key}' is not a number")),
+        Some(v) if !v.is_empty() => v.parse().map(Some).map_err(|_| not_a_number(key)),
+        _ => Ok(None),
     }
+}
+
+fn not_a_number(key: &str) -> String {
+    format!("bad request: query parameter '{key}' is not a number")
 }
 
 /// A success response: status 200, body = the wire response object.
@@ -353,29 +346,20 @@ pub(crate) fn respond(
     let mut scope = bdi_obs::TraceScope::wrap(tracer, root);
     let ctx = scope.ctx();
     // HEAD is GET with the body suppressed on the wire: same status,
-    // Content-Type, and Content-Length, zero body bytes. Routing the
-    // GET twin keeps HEAD read-only (GET /shutdown is a 405, so a HEAD
-    // can never trigger a POST side effect).
+    // Content-Type, and Content-Length, zero body bytes. Routing it as
+    // GET keeps HEAD read-only (GET /shutdown is a 405, so a HEAD can
+    // never trigger a POST side effect).
     let head_only = req.method == "HEAD";
-    let (endpoint, mut resp) = if head_only {
-        let twin = HttpRequest {
-            method: "GET".to_string(),
-            path: req.path.clone(),
-            query: req.query.clone(),
-            body: Vec::new(),
-            close: req.close,
-            trace: None,
-        };
-        route(&twin, |r| dispatch(r, ctx))
-    } else {
-        route(req, |r| dispatch(r, ctx))
-    };
-    scope.set_cmd(endpoint);
+    let method = if head_only { "GET" } else { &req.method };
+    let (row, mut resp) = route(method, req, |r| dispatch(r, ctx));
+    scope.set_cmd(row.map_or("other", |row| WIRE[row].name));
     drop(scope);
     resp.head = head_only;
     resp.trace = trace_id;
     metrics.requests.inc();
-    metrics.latency_ns[endpoint_slot(endpoint)].record_duration(t0.elapsed());
+    row.and_then(|row| metrics.latency_ns[row].as_ref())
+        .unwrap_or(&metrics.other_ns)
+        .record_duration(t0.elapsed());
     if resp.status >= 400 {
         metrics.errors.inc();
     }
@@ -385,189 +369,156 @@ pub(crate) fn respond(
     resp
 }
 
-/// The endpoint table: translate a request into a wire [`Request`],
-/// dispatch it, and shape the reply. Returns the endpoint label for
-/// metrics alongside the response.
+/// Route a request through the first [`WIRE`] route `method` and its
+/// path match, and answer it. Returns the matched row — the endpoint
+/// label for metrics — alongside the response.
 fn route(
+    method: &str,
     req: &HttpRequest,
     dispatch: impl FnOnce(Request) -> Response,
-) -> (&'static str, HttpResponse) {
-    let method = req.method.as_str();
-    let mut segments = req.path.trim_start_matches('/').splitn(2, '/');
-    let head = segments.next().unwrap_or("");
-    let rest = segments.next();
-    match (method, head, rest) {
-        ("GET", "", None) => ("other", index()),
-        ("GET", "lookup", Some(id)) if !id.is_empty() => {
-            let identifier = percent_decode(id);
-            let response = dispatch(Request::Lookup {
-                identifier: identifier.clone(),
-            });
-            let resp = match &response {
-                Response::Entry { entry: None, .. } => {
-                    error_response(404, &format!("identifier '{identifier}' is not integrated"))
-                }
-                _ => from_dispatch(response),
-            };
-            ("lookup", resp)
-        }
-        ("GET", "lookup", _) => (
-            "lookup",
-            error_response(400, "bad request: GET /lookup/:id needs an identifier"),
-        ),
-        ("GET", "filter", None) => {
-            let Some(attribute) = query_param(&req.query, "attribute") else {
-                return (
-                    "filter",
-                    error_response(400, "bad request: filter needs ?attribute="),
-                );
-            };
-            let (min, max) = match (num_param(&req.query, "min"), num_param(&req.query, "max")) {
-                (Ok(min), Ok(max)) => (min, max),
-                (Err(e), _) | (_, Err(e)) => return ("filter", error_response(400, &e)),
-            };
-            let limit = query_param(&req.query, "limit").and_then(|v| v.parse::<usize>().ok());
-            let response = dispatch(Request::Filter {
-                attribute,
-                min,
-                max,
-                limit,
-            });
-            ("filter", from_dispatch(response))
-        }
-        ("GET", "top_k", None) => {
-            let Some(attribute) = query_param(&req.query, "attribute") else {
-                return (
-                    "top_k",
-                    error_response(400, "bad request: top_k needs ?attribute="),
-                );
-            };
-            let k = match query_param(&req.query, "k") {
-                None => 10,
-                Some(v) => match v.parse::<usize>() {
-                    Ok(k) => k,
-                    Err(_) => {
-                        return (
-                            "top_k",
-                            error_response(400, "bad request: query parameter 'k' is not a number"),
-                        );
-                    }
-                },
-            };
-            let response = dispatch(Request::TopK { attribute, k });
-            ("top_k", from_dispatch(response))
-        }
-        ("POST", "ingest", None) => {
-            // an array body is a batch, an object body is one record —
-            // the same split as `ingest` vs `ingest_batch` on the wire
-            let first = req.body.iter().find(|b| !b.is_ascii_whitespace());
-            let request = match first {
-                Some(b'[') => match serde_json::from_slice::<Vec<Record>>(&req.body) {
-                    Ok(records) => Request::IngestBatch { records },
-                    Err(e) => {
-                        return ("ingest", error_response(400, &format!("bad request: {e}")));
-                    }
-                },
-                _ => match serde_json::from_slice::<Record>(&req.body) {
-                    Ok(record) => Request::Ingest { record },
-                    Err(e) => {
-                        return ("ingest", error_response(400, &format!("bad request: {e}")));
-                    }
-                },
-            };
-            ("ingest", from_dispatch(dispatch(request)))
-        }
-        ("POST", "flush", None) => ("flush", from_dispatch(dispatch(Request::Flush))),
-        ("GET", "stats", None) => ("stats", from_dispatch(dispatch(Request::Stats))),
-        ("GET", "metrics", None) => {
-            let resp = match dispatch(Request::Metrics) {
-                Response::Metrics(body) => match body.to_snapshot() {
-                    Some(snap) => {
-                        HttpResponse::new(200, PROMETHEUS, snap.to_prometheus().into_bytes())
-                    }
-                    None => error_response(500, "internal error: malformed metrics body"),
-                },
-                other => from_dispatch(other),
-            };
-            ("metrics", resp)
-        }
-        ("GET", "trace", Some("recent")) => {
-            let n = query_param(&req.query, "n")
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(16);
-            let response = dispatch(Request::Trace {
-                id: None,
-                recent: Some(n),
-            });
-            ("trace", from_dispatch(response))
-        }
-        ("GET", "trace", Some(id)) if !id.is_empty() => {
-            let Some(trace_id) = u64::from_str_radix(id, 16).ok().filter(|&t| t != 0) else {
-                return (
-                    "trace",
-                    error_response(400, "bad request: trace id is 1-16 hex digits"),
-                );
-            };
-            let response = dispatch(Request::Trace {
-                id: Some(trace_id),
-                recent: None,
-            });
-            let resp = match response {
-                Response::Trace(body) if body.spans.is_empty() => error_response(
-                    404,
-                    &format!("trace {trace_id:016x} is not in the flight recorder"),
-                ),
-                Response::Trace(body) => {
-                    let tree = TraceTree::from_spans(trace_id, body.spans);
-                    let body = serde_json::to_string(&tree).expect("trace trees serialize");
-                    HttpResponse::new(200, JSON, body.into_bytes())
-                }
-                other => from_dispatch(other),
-            };
-            ("trace", resp)
-        }
-        ("GET", "trace", _) => (
-            "trace",
-            error_response(400, "bad request: GET /trace/:id or GET /trace/recent?n="),
-        ),
-        ("POST", "shutdown", None) => ("shutdown", from_dispatch(dispatch(Request::Shutdown))),
-        // known paths with the wrong method answer 405, not 404, so a
-        // curl typo (`GET /ingest`) explains itself
-        (_, "lookup" | "filter" | "top_k" | "stats" | "metrics" | "trace", _) => (
-            "other",
-            error_response(405, &format!("method {method} not allowed: use GET")),
-        ),
-        (_, "ingest" | "flush" | "shutdown", None) => (
-            "other",
-            error_response(405, &format!("method {method} not allowed: use POST")),
-        ),
-        _ => (
-            "other",
-            error_response(
-                404,
-                &format!("no such endpoint: {method} /{head}; see GET / for the endpoint index",),
+) -> (Option<usize>, HttpResponse) {
+    let path = req.path.as_str();
+    if method == "GET" && path == "/" {
+        return (None, index());
+    }
+    let matched = routes().find_map(|(row, route)| {
+        let captured = route.capture(path).filter(|_| route.method == method)?;
+        Some((row, route.path.contains(':').then_some(captured)))
+    });
+    let Some((row, id)) = matched else {
+        // a path some route serves under another method answers 405,
+        // not 404, so a curl typo (`GET /ingest`) explains itself
+        let resp = match routes().find(|(_, route)| route.capture(path).is_some()) {
+            Some((_, route)) => error_response(
+                405,
+                &format!("method {method} not allowed: use {}", route.method),
             ),
+            None => error_response(
+                404,
+                &format!("no such endpoint: {method} {path}; see GET / for the endpoint index"),
+            ),
+        };
+        return (None, resp);
+    };
+    let resp = match parse(row, id, req) {
+        Ok(request) => answer(request, dispatch),
+        Err(message) => error_response(400, &message),
+    };
+    (Some(row), resp)
+}
+
+/// The wire [`Request`] a request matched to [`WIRE`] row `row` stands
+/// for, or the `400` message for a missing or malformed parameter or
+/// body. `id` is what the route's `:id` segment captured (`None` on a
+/// route without one).
+fn parse(row: usize, id: Option<&str>, req: &HttpRequest) -> Result<Request, String> {
+    let query = req.query.as_str();
+    let bad_body = |e: serde_json::Error| format!("bad request: {e}");
+    Ok(match (WIRE[row].name, id) {
+        ("lookup", None | Some("")) => {
+            return Err("bad request: GET /lookup/:id needs an identifier".to_string());
+        }
+        ("lookup", Some(id)) => Request::Lookup {
+            identifier: percent_decode(id),
+        },
+        ("filter", _) => Request::Filter {
+            attribute: query_param(query, "attribute")
+                .ok_or("bad request: filter needs ?attribute=")?,
+            min: num_param(query, "min")?,
+            max: num_param(query, "max")?,
+            limit: num_param(query, "limit")?,
+        },
+        ("top_k", _) => Request::TopK {
+            attribute: query_param(query, "attribute")
+                .ok_or("bad request: top_k needs ?attribute=")?,
+            k: match query_param(query, "k") {
+                None => DEFAULT_TOP_K,
+                Some(v) => v.parse().map_err(|_| not_a_number("k"))?,
+            },
+        },
+        // `ingest_batch` shares this route and `ingest` is listed first:
+        // an array body is a batch, an object body is one record — the
+        // same split as `ingest` vs `ingest_batch` on the wire
+        ("ingest", _) => match req.body.iter().find(|b| !b.is_ascii_whitespace()) {
+            Some(b'[') => Request::IngestBatch {
+                records: serde_json::from_slice(&req.body).map_err(bad_body)?,
+            },
+            _ => Request::Ingest {
+                record: serde_json::from_slice(&req.body).map_err(bad_body)?,
+            },
+        },
+        ("flush", _) => Request::Flush,
+        ("stats", _) => Request::Stats,
+        ("metrics", _) => Request::Metrics,
+        // `/trace/recent` is the route without an `:id`
+        ("trace", None) => Request::Trace {
+            id: None,
+            recent: Some(num_param(query, "n")?.unwrap_or(DEFAULT_TRACE_RECENT)),
+        },
+        ("trace", Some("")) => {
+            return Err("bad request: GET /trace/:id or GET /trace/recent?n=".to_string());
+        }
+        ("trace", Some(id)) => Request::Trace {
+            id: Some(
+                u64::from_str_radix(id, 16)
+                    .ok()
+                    .filter(|&t| t != 0)
+                    .ok_or("bad request: trace id is 1-16 hex digits")?,
+            ),
+            recent: None,
+        },
+        ("shutdown", _) => Request::Shutdown,
+        // a row given a route this adapter cannot parse
+        // (tests/wire_docs.rs requests every route and fails on this)
+        (name, _) => return Err(format!("bad request: no HTTP handler for {name}")),
+    })
+}
+
+/// Dispatch `request` and shape the reply. Three replies read
+/// differently over HTTP than on the wire: a lookup miss is a `404`,
+/// the registry is Prometheus text, and a trace by id is an assembled
+/// tree (`404` once it has aged out).
+fn answer(request: Request, dispatch: impl FnOnce(Request) -> Response) -> HttpResponse {
+    let (identifier, trace_id) = match &request {
+        Request::Lookup { identifier } => (Some(identifier.clone()), None),
+        Request::Trace { id, .. } => (None, *id),
+        _ => (None, None),
+    };
+    match (dispatch(request), identifier, trace_id) {
+        (Response::Entry { entry: None, .. }, Some(identifier), _) => {
+            error_response(404, &format!("identifier '{identifier}' is not integrated"))
+        }
+        (Response::Metrics(body), ..) => match body.to_snapshot() {
+            Some(snap) => HttpResponse::new(200, PROMETHEUS, snap.to_prometheus().into_bytes()),
+            None => error_response(500, "internal error: malformed metrics body"),
+        },
+        (Response::Trace(body), _, Some(id)) if body.spans.is_empty() => error_response(
+            404,
+            &format!("trace {id:016x} is not in the flight recorder"),
         ),
+        (Response::Trace(body), _, Some(id)) => {
+            let tree = TraceTree::from_spans(id, body.spans);
+            let body = serde_json::to_string(&tree).expect("trace trees serialize");
+            HttpResponse::new(200, JSON, body.into_bytes())
+        }
+        (response, ..) => from_dispatch(response),
     }
 }
 
-/// `GET /`: a discoverability index (endpoint → wire command).
+/// `GET /`: a discoverability index, every [`WIRE`] route → the
+/// commands it carries.
 fn index() -> HttpResponse {
-    let body = concat!(
-        "{\"endpoints\":{",
-        "\"GET /lookup/:id\":\"lookup\",",
-        "\"GET /filter?attribute=&min=&max=&limit=\":\"filter\",",
-        "\"GET /top_k?attribute=&k=\":\"top_k\",",
-        "\"POST /ingest\":\"ingest | ingest_batch\",",
-        "\"POST /flush\":\"flush\",",
-        "\"GET /stats\":\"stats\",",
-        "\"GET /metrics\":\"metrics (prometheus text)\",",
-        "\"GET /trace/:id\":\"trace\",",
-        "\"GET /trace/recent?n=\":\"trace\",",
-        "\"POST /shutdown\":\"shutdown\"",
-        "}}"
-    );
-    HttpResponse::new(200, JSON, body.as_bytes().to_vec())
+    let mut endpoints: BTreeMap<String, String> = BTreeMap::new();
+    for (row, route) in routes() {
+        let commands = endpoints.entry(route.to_string()).or_default();
+        if !commands.is_empty() {
+            commands.push_str(" | ");
+        }
+        commands.push_str(WIRE[row].name);
+    }
+    let body = serde_json::to_string(&BTreeMap::from([("endpoints", endpoints)]))
+        .expect("the index serializes");
+    HttpResponse::new(200, JSON, body.into_bytes())
 }
 
 #[cfg(test)]
@@ -589,16 +540,6 @@ mod tests {
     fn error_statuses_are_pinned() {
         // the contract between dispatch error messages and HTTP codes
         assert_eq!(error_status("bad request: expected value"), 400);
-        assert_eq!(
-            error_status("router-only command: issue it against `bdi route`, not a backend"),
-            400
-        );
-        assert_eq!(
-            error_status(
-                "backend-only command: issue it against a `bdi serve` backend, not the router"
-            ),
-            400
-        );
         assert_eq!(error_status("shutting down"), 503);
         assert_eq!(error_status("ingest queue closed"), 503);
         assert_eq!(error_status("shard 1 (127.0.0.1:9) is down"), 503);
@@ -616,11 +557,11 @@ mod tests {
     #[test]
     fn unknown_id_is_404_with_error_body() {
         let req = get("/lookup/NO-SUCH-00000", "");
-        let (endpoint, resp) = route(&req, |_| Response::Entry {
+        let (row, resp) = route(&req.method, &req, |_| Response::Entry {
             generation: 7,
             entry: None,
         });
-        assert_eq!(endpoint, "lookup");
+        assert_eq!(row.map(|row| WIRE[row].name), Some("lookup"));
         assert_eq!(resp.status, 404);
         assert!(!resp.close, "connection survives a miss");
         let body: Response = serde_json::from_slice(&resp.body).unwrap();
@@ -640,7 +581,7 @@ mod tests {
             close: false,
             trace: None,
         };
-        let (_, resp) = route(&req, |_| Response::Error {
+        let (_, resp) = route(&req.method, &req, |_| Response::Error {
             message: "backend(s) down: shard 1 (127.0.0.1:9)".into(),
         });
         assert_eq!(resp.status, 503);
@@ -657,7 +598,7 @@ mod tests {
             close: false,
             trace: None,
         };
-        let (_, resp) = route(&req, |_| unreachable!("never dispatched"));
+        let (_, resp) = route(&req.method, &req, |_| unreachable!("never dispatched"));
         assert_eq!(resp.status, 400);
         assert!(!resp.close);
         let body: Response = serde_json::from_slice(&resp.body).unwrap();
@@ -666,16 +607,16 @@ mod tests {
 
     #[test]
     fn wrong_method_is_405_unknown_path_is_404() {
-        let (_, resp) = route(&get("/ingest", ""), |_| unreachable!());
+        let (_, resp) = route("GET", &get("/ingest", ""), |_| unreachable!());
         assert_eq!(resp.status, 405);
-        let (_, resp) = route(&get("/nope", ""), |_| unreachable!());
+        let (_, resp) = route("GET", &get("/nope", ""), |_| unreachable!());
         assert_eq!(resp.status, 404);
     }
 
     #[test]
     fn lookup_path_is_percent_decoded() {
         let req = get("/lookup/cam%20lum%2000100", "");
-        let (_, resp) = route(&req, |r| {
+        let (_, resp) = route(&req.method, &req, |r| {
             let Request::Lookup { identifier } = r else {
                 panic!("lookup dispatched");
             };

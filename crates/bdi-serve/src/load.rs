@@ -1,18 +1,17 @@
 //! The synthetic load driver: replay a generated product web as a live
 //! ingest stream while reader threads hammer lookups.
 //!
-//! This is the serve-path experiment harness. One writer connection
-//! feeds every record of a [`bdi_synth::World`] through the ingest
-//! queue; `readers` connections spin on `lookup` of identifiers drawn
-//! from the world's catalog the whole time. The report gives ingest
-//! throughput and read latency percentiles. (For performance *claims*
-//! use `livebench/`, the repository's declared benchmark.)
+//! This is the serve-path smoke driver. One writer connection feeds
+//! every record of a [`bdi_synth::World`] through the ingest queue,
+//! over binary frames when the server's `hello` offers them; `readers`
+//! connections spin on `lookup` of identifiers drawn from the world's
+//! catalog the whole time. The report gives ingest throughput and read
+//! latency percentiles. (For performance *claims* use `livebench/`,
+//! the repository's declared benchmark.)
 
-use crate::client::{Client, HttpClient};
-use crate::protocol::{Request, Response};
-use bdi_obs::{Registry, TraceContext};
+use crate::client::Client;
+use bdi_obs::Registry;
 use bdi_synth::{World, WorldConfig};
-use bdi_types::Record;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -38,22 +37,6 @@ pub struct LoadConfig {
     /// requests, amortizing round trips — the mode that feeds the
     /// router tier at full rate.
     pub batch: usize,
-    /// Drive the server over HTTP/1.1 (`GET /lookup/:id`,
-    /// `POST /ingest`) instead of JSON lines. Same port: the front-end
-    /// autodetects the protocol from the first bytes of each
-    /// connection.
-    pub http: bool,
-    /// Negotiate binary frames for the ingest stream (`hello` feature
-    /// `binary-frames`). Opportunistic: a peer that does not advertise
-    /// the feature simply keeps the run on JSON lines — check
-    /// [`LoadReport::wire_binary`] for what actually happened. Ignored
-    /// when `http` is set.
-    pub binary: bool,
-    /// Mint a fresh client-side trace id for every Nth ingest request
-    /// (0 = none), propagated as trace context (wire envelope / frame
-    /// extension, or the `X-Bdi-Trace` header on HTTP runs) so the
-    /// server records those requests end to end.
-    pub trace_sample: u64,
 }
 
 impl Default for LoadConfig {
@@ -65,116 +48,8 @@ impl Default for LoadConfig {
             max_source_size: 60,
             readers: 4,
             batch: 1,
-            http: false,
-            binary: false,
-            trace_sample: 0,
         }
     }
-}
-
-/// One load connection, speaking whichever protocol the run selected.
-/// Both arms hit the same request core server-side, so the measured
-/// work is identical — only the framing differs.
-enum Driver {
-    Wire(Client),
-    Http(HttpClient),
-}
-
-impl Driver {
-    fn connect(addr: SocketAddr, http: bool, binary: bool, trace: bool) -> std::io::Result<Self> {
-        Ok(if http {
-            Driver::Http(HttpClient::connect(addr)?)
-        } else {
-            let mut client = Client::connect(addr)?;
-            if binary {
-                client.negotiate_binary()?;
-            } else if trace {
-                // learn `trace-context` without flipping the wire binary
-                client.negotiate_trace()?;
-            }
-            Driver::Wire(client)
-        })
-    }
-
-    fn is_binary(&self) -> bool {
-        match self {
-            Driver::Wire(c) => c.is_binary(),
-            Driver::Http(_) => false,
-        }
-    }
-
-    fn lookup(&mut self, identifier: &str) -> std::io::Result<()> {
-        match self {
-            Driver::Wire(c) => c.lookup(identifier).map(drop),
-            Driver::Http(c) => c.lookup(identifier).map(drop),
-        }
-    }
-
-    fn ingest(&mut self, record: Record, trace: Option<u64>) -> std::io::Result<u64> {
-        match self {
-            Driver::Wire(c) => match trace {
-                Some(t) => ack(c.call_traced(&Request::Ingest { record }, root_ctx(t))?),
-                None => c.ingest(record),
-            },
-            Driver::Http(c) => with_trace_header(c, trace, |c| c.ingest(&record)),
-        }
-    }
-
-    fn ingest_batch(&mut self, records: Vec<Record>, trace: Option<u64>) -> std::io::Result<u64> {
-        match self {
-            Driver::Wire(c) => match trace {
-                Some(t) => ack(c.call_traced(&Request::IngestBatch { records }, root_ctx(t))?),
-                None => c.ingest_batch(records),
-            },
-            Driver::Http(c) => with_trace_header(c, trace, |c| c.ingest_batch(&records)),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<(u64, u64)> {
-        match self {
-            Driver::Wire(c) => c.flush(),
-            Driver::Http(c) => c.flush(),
-        }
-    }
-}
-
-/// A client-minted root context: the load driver is the trace origin,
-/// so the server's request span becomes the root's first child.
-fn root_ctx(trace: u64) -> TraceContext {
-    TraceContext {
-        trace,
-        parent: bdi_obs::trace::NO_PARENT,
-    }
-}
-
-fn ack(response: Response) -> std::io::Result<u64> {
-    match response {
-        Response::Ack { submitted } => Ok(submitted),
-        Response::Error { message } => Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            message,
-        )),
-        other => Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("unexpected response: {other:?}"),
-        )),
-    }
-}
-
-/// Run one HTTP call under an `X-Bdi-Trace` header (cleared after).
-fn with_trace_header<T>(
-    c: &mut HttpClient,
-    trace: Option<u64>,
-    call: impl FnOnce(&mut HttpClient) -> std::io::Result<T>,
-) -> std::io::Result<T> {
-    if let Some(t) = trace {
-        c.set_trace_header(Some(format!("{t:016x}")));
-    }
-    let result = call(c);
-    if trace.is_some() {
-        c.set_trace_header(None);
-    }
-    result
 }
 
 /// What a load run measured.
@@ -249,16 +124,6 @@ pub struct LoadReport {
     /// Per-lane error counters (`route.shard{s}.replica{r}.errors`),
     /// name-sorted — non-empty only when lanes actually failed.
     pub replica_errors: Vec<(String, u64)>,
-    /// Whether the ingest stream actually went over binary frames
-    /// (requested via [`LoadConfig::binary`] *and* granted by the
-    /// server's `hello`).
-    pub wire_binary: bool,
-    /// Ingest requests sent under a minted trace id
-    /// ([`LoadConfig::trace_sample`] > 0).
-    pub traced_requests: u64,
-    /// The last minted trace id — fetch its tree with
-    /// `bdi admin --trace <id>` or `GET /trace/:id` while it's hot.
-    pub last_trace_id: Option<u64>,
 }
 
 /// Generate a world and replay it against a running server at `addr`.
@@ -285,15 +150,13 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> std::io::Result<LoadRepor
     let pool = Arc::new(pool);
     let stop = Arc::new(AtomicBool::new(false));
 
-    let http = cfg.http;
-
     let readers: Vec<_> = (0..cfg.readers)
         .map(|reader_idx| {
             let pool = Arc::clone(&pool);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || -> std::io::Result<Vec<u64>> {
                 // readers stay on JSON: lookup has no binary encoding
-                let mut client = Driver::connect(addr, http, false, false)?;
+                let mut client = Client::connect(addr)?;
                 let mut latencies = Vec::new();
                 // stride the pool differently per reader so shards all
                 // see traffic without needing a shared RNG
@@ -312,32 +175,20 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> std::io::Result<LoadRepor
         })
         .collect();
 
-    let mut writer = Driver::connect(addr, cfg.http, cfg.binary, cfg.trace_sample > 0)?;
-    let wire_binary = writer.is_binary();
+    let mut writer = Client::connect(addr)?;
+    // opportunistic: a peer whose `hello` lacks `binary-frames` keeps
+    // the stream on JSON lines
+    writer.negotiate_binary()?;
     let mut ingest_latencies: Vec<u64> = Vec::with_capacity(total);
     // driver-side batch-size distribution (the last chunk is partial)
     let batch_hist = Registry::new().histogram("load.ingest.batch_records");
     let batch = cfg.batch.max(1);
-    // client-side trace-id mint for the 1-in-N sampled requests
-    let mint = bdi_obs::Tracer::new();
-    let mut reqno = 0u64;
-    let mut traced_requests = 0u64;
-    let mut last_trace_id = None;
-    let next_trace = |reqno: &mut u64| -> Option<u64> {
-        *reqno += 1;
-        (cfg.trace_sample > 0 && (*reqno).is_multiple_of(cfg.trace_sample)).then(|| mint.fresh_id())
-    };
     let t0 = Instant::now();
     if batch == 1 {
         for r in records {
             batch_hist.record(1);
-            let trace = next_trace(&mut reqno);
-            if let Some(t) = trace {
-                traced_requests += 1;
-                last_trace_id = Some(t);
-            }
             let t = Instant::now();
-            writer.ingest(r, trace)?;
+            writer.ingest(r)?;
             ingest_latencies.push(t.elapsed().as_micros() as u64);
         }
     } else {
@@ -345,26 +196,15 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> std::io::Result<LoadRepor
         while stream.peek().is_some() {
             let chunk: Vec<_> = stream.by_ref().take(batch).collect();
             batch_hist.record(chunk.len() as u64);
-            let trace = next_trace(&mut reqno);
-            if let Some(t) = trace {
-                traced_requests += 1;
-                last_trace_id = Some(t);
-            }
             let t = Instant::now();
-            writer.ingest_batch(chunk, trace)?;
+            writer.ingest_batch(chunk)?;
             ingest_latencies.push(t.elapsed().as_micros() as u64);
         }
     }
     let (generation, _) = writer.flush()?;
     let ingest_secs = t0.elapsed().as_secs_f64();
-    // The accounting scrape always speaks JSON lines: the `metrics`
-    // command returns the full histogram snapshot, which the HTTP
-    // Prometheus exposition doesn't. The front-end autodetects the
-    // protocol per connection, so this works on the same port even when
-    // the load traffic itself was HTTP.
-    let mut scrape = Client::connect(addr)?;
-    let comparisons = scrape.stats()?.comparisons;
-    let metrics = scrape.metrics()?;
+    let comparisons = writer.stats()?.comparisons;
+    let metrics = writer.metrics()?;
     stop.store(true, Ordering::SeqCst);
 
     let mut latencies: Vec<u64> = Vec::new();
@@ -433,9 +273,6 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> std::io::Result<LoadRepor
         backend_retries: counter("route.backend.retries"),
         replicas_dropped: counter("route.ingest.replicas_dropped"),
         replica_errors,
-        wire_binary,
-        traced_requests,
-        last_trace_id,
     })
 }
 
@@ -478,26 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn http_load_drives_the_same_handlers() {
-        let server = Server::start(ServerConfig::default()).unwrap();
-        let cfg = LoadConfig {
-            entities: 40,
-            sources: 6,
-            readers: 2,
-            batch: 8,
-            http: true,
-            ..Default::default()
-        };
-        // same port as JSON lines: the front-end sniffs the protocol
-        let report = run_load(server.addr(), &cfg).unwrap();
-        assert!(report.records > 0);
-        assert!(report.queries > 0, "HTTP readers ran during ingest");
-        assert!(report.generation >= 1, "HTTP flush advanced a generation");
-        assert!(report.comparisons > 0, "scrape still works over JSON lines");
-        server.shutdown();
-    }
-
-    #[test]
     fn batched_load_amortizes_round_trips() {
         let server = Server::start(ServerConfig::default()).unwrap();
         let cfg = LoadConfig {
@@ -520,59 +337,5 @@ mod tests {
         );
         assert!(report.generation >= 1);
         server.shutdown();
-    }
-
-    #[test]
-    fn binary_load_negotiates_and_completes() {
-        let server = Server::start(ServerConfig::default()).unwrap();
-        let cfg = LoadConfig {
-            entities: 40,
-            sources: 6,
-            readers: 1,
-            batch: 16,
-            binary: true,
-            ..Default::default()
-        };
-        let report = run_load(server.addr(), &cfg).unwrap();
-        assert!(report.wire_binary, "default server grants binary-frames");
-        assert!(report.records > 16);
-        assert!(report.generation >= 1, "binary flush advanced a generation");
-        assert!(
-            report.server_ingest_p50_ns > 0,
-            "binary ingest lands in the same handling histogram"
-        );
-        server.shutdown();
-    }
-
-    /// Format equivalence, pinned: the identical world driven over
-    /// binary frames and over JSON lines must leave two servers in the
-    /// same engine state — same counts, same clustering surface. The
-    /// wire encoding is transport, never semantics.
-    #[test]
-    fn binary_and_json_wires_build_identical_state() {
-        let run = |binary: bool| {
-            let server = Server::start(ServerConfig::default()).unwrap();
-            let cfg = LoadConfig {
-                entities: 60,
-                sources: 8,
-                readers: 0,
-                batch: 16,
-                binary,
-                ..Default::default()
-            };
-            let report = run_load(server.addr(), &cfg).unwrap();
-            assert_eq!(report.wire_binary, binary);
-            let mut client = crate::client::Client::connect(server.addr()).unwrap();
-            let stats = client.stats().unwrap();
-            let top = client.top_k("weight", 50).unwrap();
-            let titles: Vec<String> = top.into_iter().map(|e| e.title).collect();
-            server.shutdown();
-            (stats.records, stats.products, stats.applied, titles)
-        };
-        assert_eq!(
-            run(true),
-            run(false),
-            "binary wire changed the resulting engine state"
-        );
     }
 }

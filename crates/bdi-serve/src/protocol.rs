@@ -10,12 +10,17 @@
 //! "stats"
 //! ```
 
+use crate::frame::{
+    OP_ACK, OP_ERROR, OP_FLUSH, OP_FLUSHED, OP_INGEST_BATCH, OP_RESTORE, OP_RESTORED, OP_SYNC,
+    OP_SYNC_STATE,
+};
 use crate::snapshot::Snapshot;
 use bdi_core::catalog::CatalogEntry;
 use bdi_obs::{HistogramSnapshot, RegistrySnapshot};
 use bdi_types::Record;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// The protocol generation this build speaks. Bumped to 2 with the
 /// fleet commands (`hello`, `sync`, `restore`, `split`, `replace`);
@@ -24,6 +29,165 @@ use std::collections::BTreeMap;
 /// mid-stream.
 pub const PROTOCOL_VERSION: u32 = 2;
 
+/// A process kind that answers requests.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tier {
+    /// `bdi serve`: owns an engine.
+    Backend,
+    /// `bdi route`: fronts a fleet of backends.
+    Router,
+}
+
+/// One HTTP route of a command.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Route {
+    /// `GET` or `POST`.
+    pub method: &'static str,
+    /// Path pattern. A trailing `:id` segment captures the rest of the
+    /// path, empty included, so the command itself can answer a missing
+    /// one with `400`.
+    pub path: &'static str,
+    /// The query parameters it reads, as `a=&b=` (empty for none).
+    pub query: &'static str,
+}
+
+impl Route {
+    const fn get(path: &'static str, query: &'static str) -> Self {
+        Self {
+            method: "GET",
+            path,
+            query,
+        }
+    }
+
+    const fn post(path: &'static str) -> Self {
+        Self {
+            method: "POST",
+            path,
+            query: "",
+        }
+    }
+
+    /// Match a request path (query string split off): `Some` with the
+    /// text the `:id` segment captured (`""` for a literal path), `None`
+    /// when the path is not this route's.
+    pub(crate) fn capture<'p>(&self, path: &'p str) -> Option<&'p str> {
+        match self.path.split_once(':') {
+            Some((prefix, _)) => path
+                .strip_prefix(prefix)
+                .or_else(|| (path == prefix.trim_end_matches('/')).then_some("")),
+            None => (path == self.path).then_some(""),
+        }
+    }
+}
+
+/// `GET /top_k?attribute=&k=`: method, path and query as the docs and
+/// `GET /` print them.
+impl fmt::Display for Route {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {}", self.method, self.path)?;
+        if !self.query.is_empty() {
+            write!(f, "?{}", self.query)?;
+        }
+        Ok(())
+    }
+}
+
+/// One wire command: a row of [`WIRE`].
+#[derive(Clone, Copy, Debug)]
+pub struct CommandSpec {
+    /// The serde name of its [`Request`] variant, and its label in the
+    /// per-command metrics and spans.
+    pub name: &'static str,
+    /// Its binary frame opcode, when it has one ([`crate::frame`]).
+    pub opcode: Option<u8>,
+    /// Its HTTP routes. The first route matching a request wins, so
+    /// `POST /ingest` is labelled `ingest` though an array body
+    /// dispatches as `ingest_batch`.
+    pub http: &'static [Route],
+    /// The tiers that answer it; the other tier answers it with a
+    /// `backend-only` / `router-only` error.
+    pub tiers: &'static [Tier],
+}
+
+const BOTH: &[Tier] = &[Tier::Backend, Tier::Router];
+const BACKEND: &[Tier] = &[Tier::Backend];
+const ROUTER: &[Tier] = &[Tier::Router];
+
+/// Every wire command, one row per [`Request`] variant
+/// ([`Request::row`] is the one match from a variant to its row). The
+/// per-command metrics, the binary request opcodes, the HTTP routes,
+/// the `GET /` index and each tier's `hello` features are read from
+/// here, and `tests/wire_docs.rs` holds the command, opcode and
+/// endpoint tables of `docs/PROTOCOL.md` and `docs/HTTP_API.md` to it.
+#[rustfmt::skip]
+pub const WIRE: [CommandSpec; 15] = [
+    CommandSpec { name: "lookup",       opcode: None,                  http: &[Route::get("/lookup/:id", "")], tiers: BOTH },
+    CommandSpec { name: "filter",       opcode: None,                  http: &[Route::get("/filter", "attribute=&min=&max=&limit=")], tiers: BOTH },
+    CommandSpec { name: "top_k",        opcode: None,                  http: &[Route::get("/top_k", "attribute=&k=")], tiers: BOTH },
+    CommandSpec { name: "ingest",       opcode: None,                  http: &[Route::post("/ingest")], tiers: BOTH },
+    CommandSpec { name: "ingest_batch", opcode: Some(OP_INGEST_BATCH), http: &[Route::post("/ingest")], tiers: BOTH },
+    CommandSpec { name: "flush",        opcode: Some(OP_FLUSH),        http: &[Route::post("/flush")], tiers: BOTH },
+    CommandSpec { name: "stats",        opcode: None,                  http: &[Route::get("/stats", "")], tiers: BOTH },
+    CommandSpec { name: "metrics",      opcode: None,                  http: &[Route::get("/metrics", "")], tiers: BOTH },
+    CommandSpec { name: "shutdown",     opcode: None,                  http: &[Route::post("/shutdown")], tiers: BOTH },
+    CommandSpec { name: "hello",        opcode: None,                  http: &[], tiers: BOTH },
+    CommandSpec { name: "sync",         opcode: Some(OP_SYNC),         http: &[], tiers: BACKEND },
+    CommandSpec { name: "restore",      opcode: Some(OP_RESTORE),      http: &[], tiers: BACKEND },
+    CommandSpec { name: "split",        opcode: None,                  http: &[], tiers: ROUTER },
+    CommandSpec { name: "replace",      opcode: None,                  http: &[], tiers: ROUTER },
+    // `/trace/recent` also matches `/trace/:id`: the literal route is
+    // listed first so it wins
+    CommandSpec { name: "trace",        opcode: None,                  http: &[Route::get("/trace/recent", "n="), Route::get("/trace/:id", "")], tiers: BOTH },
+];
+
+/// The binary reply opcodes with the [`Response`] each carries — the
+/// other half of the opcode space, beside [`WIRE`]'s request opcodes.
+pub const REPLY_OPCODES: [(u8, &str); 5] = [
+    (OP_ACK, "ack"),
+    (OP_FLUSHED, "flushed"),
+    (OP_SYNC_STATE, "sync_state"),
+    (OP_RESTORED, "restored"),
+    (OP_ERROR, "error"),
+];
+
+/// The `hello` feature gating the binary frame format.
+pub const FEATURE_BINARY: &str = "binary-frames";
+
+/// The `hello` feature gating trace-context propagation: peers that
+/// advertise it accept the binary frame trace extension and the
+/// JSON-lines `trace` envelope; peers that don't get plain requests.
+pub const FEATURE_TRACE: &str = "trace-context";
+
+/// `hello` features that name no command: `flush` is a delivery
+/// barrier, plus the two wire upgrades above.
+pub const EXTRA_FEATURES: [&str; 3] = ["flush_barrier", FEATURE_BINARY, FEATURE_TRACE];
+
+/// The features `tier` advertises on `hello`: every command it answers,
+/// then [`EXTRA_FEATURES`]. A router checks a peer for the ones it
+/// depends on (`flush_barrier` + `sync` to bootstrap a replica,
+/// `restore` to install one) instead of discovering their absence as
+/// unknown-command errors mid-stream, and peers negotiate the wire
+/// format off this list, never by trial and error.
+pub(crate) fn features(tier: Tier) -> Vec<String> {
+    WIRE.iter()
+        .filter(|spec| spec.tiers.contains(&tier))
+        .map(|spec| spec.name)
+        .chain(EXTRA_FEATURES)
+        .map(str::to_string)
+        .collect()
+}
+
+/// `filter`'s result cap when the request names no `limit`.
+pub const DEFAULT_FILTER_LIMIT: usize = 100;
+
+/// How many trace ids `trace` lists when the request names no `recent`.
+pub const DEFAULT_TRACE_RECENT: usize = 16;
+
+/// `GET /top_k`'s `k` when the query names none (the wire command
+/// always carries one).
+pub const DEFAULT_TOP_K: usize = 10;
+
 /// A client request.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum Request {
@@ -31,7 +195,8 @@ pub enum Request {
     #[serde(rename = "lookup")]
     Lookup { identifier: String },
     /// Products whose fused numeric value for `attribute` lies in
-    /// `[min, max]` (either bound optional); at most `limit` results.
+    /// `[min, max]` (either bound optional); at most `limit` results
+    /// ([`DEFAULT_FILTER_LIMIT`] when absent).
     #[serde(rename = "filter")]
     Filter {
         attribute: String,
@@ -102,7 +267,7 @@ pub enum Request {
     /// Read the flight recorder: with `id`, every span of that trace
     /// still in the ring (a router merges its own spans with the
     /// fleet's); with `id` absent, the most recently retained trace ids
-    /// (at most `recent`, default 16). Answered with
+    /// (at most `recent`, default [`DEFAULT_TRACE_RECENT`]). Answered with
     /// [`Response::Trace`].
     #[serde(rename = "trace")]
     Trace {
@@ -112,26 +277,31 @@ pub enum Request {
 }
 
 impl Request {
+    /// This command's row in [`WIRE`].
+    pub fn row(&self) -> usize {
+        match self {
+            Request::Lookup { .. } => 0,
+            Request::Filter { .. } => 1,
+            Request::TopK { .. } => 2,
+            Request::Ingest { .. } => 3,
+            Request::IngestBatch { .. } => 4,
+            Request::Flush => 5,
+            Request::Stats => 6,
+            Request::Metrics => 7,
+            Request::Shutdown => 8,
+            Request::Hello => 9,
+            Request::Sync { .. } => 10,
+            Request::Restore { .. } => 11,
+            Request::Split { .. } => 12,
+            Request::Replace { .. } => 13,
+            Request::Trace { .. } => 14,
+        }
+    }
+
     /// The command's wire name — the label per-command metrics are
     /// recorded under (`serve.request.<kind>.latency_ns`).
     pub fn kind(&self) -> &'static str {
-        match self {
-            Request::Lookup { .. } => "lookup",
-            Request::Filter { .. } => "filter",
-            Request::TopK { .. } => "top_k",
-            Request::Ingest { .. } => "ingest",
-            Request::IngestBatch { .. } => "ingest_batch",
-            Request::Flush => "flush",
-            Request::Stats => "stats",
-            Request::Metrics => "metrics",
-            Request::Shutdown => "shutdown",
-            Request::Hello => "hello",
-            Request::Sync { .. } => "sync",
-            Request::Restore { .. } => "restore",
-            Request::Split { .. } => "split",
-            Request::Replace { .. } => "replace",
-            Request::Trace { .. } => "trace",
-        }
+        WIRE[self.row()].name
     }
 }
 

@@ -31,9 +31,8 @@
 //! exact position.
 
 use crate::client::{bad, WireConn};
-use crate::protocol::{Request, Response, PROTOCOL_VERSION};
+use crate::protocol::{Request, Response, FEATURE_BINARY, FEATURE_TRACE, PROTOCOL_VERSION};
 use crate::router::RouterShared;
-use crate::server::{FEATURE_BINARY, FEATURE_TRACE};
 use bdi_obs::{ActiveSpan, Counter, TraceContext};
 use bdi_types::Record;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};

@@ -22,39 +22,12 @@
 use crate::frame;
 use crate::http::{self, HttpMetrics, HttpRequest, HttpResponse};
 use crate::nio::{RequestMeta, Service};
-use crate::protocol::{CommandLatency, Request, Response, TracedRequest};
+use crate::protocol::{CommandLatency, Request, Response, TracedRequest, WIRE};
 use bdi_obs::{ActiveSpan, Counter, Gauge, Histogram, Registry, TraceContext, Tracer};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Wire names of every request command, in [`command_slot`] order.
-const COMMAND_KINDS: [&str; 15] = [
-    "lookup",
-    "filter",
-    "top_k",
-    "ingest",
-    "ingest_batch",
-    "flush",
-    "stats",
-    "metrics",
-    "shutdown",
-    "hello",
-    "sync",
-    "restore",
-    "split",
-    "replace",
-    "trace",
-];
-
-/// Index of a command kind in the per-command metric handle arrays.
-fn command_slot(kind: &str) -> usize {
-    COMMAND_KINDS
-        .iter()
-        .position(|&k| k == kind)
-        .expect("Request::kind returns a known command")
-}
 
 /// What the envelope records into, one per tier: the flight recorder
 /// and every per-request metric handle, resolved once at startup so
@@ -66,10 +39,10 @@ pub(crate) struct RequestCore {
     /// Name of the tier's request span (`serve.request` on a backend,
     /// `route.request` on a router).
     span: &'static str,
-    /// Per-command request latency, ns ([`command_slot`] order).
-    request_ns: [Arc<Histogram>; COMMAND_KINDS.len()],
+    /// Per-command request latency, ns, by [`WIRE`] row.
+    request_ns: [Arc<Histogram>; WIRE.len()],
     /// Per-command request payload size, bytes as framed.
-    request_bytes: [Arc<Histogram>; COMMAND_KINDS.len()],
+    request_bytes: [Arc<Histogram>; WIRE.len()],
     /// Undecodable requests plus error responses.
     request_errors: Counter,
     /// HTTP-adapter counters and per-endpoint latency.
@@ -102,10 +75,10 @@ impl RequestCore {
         Self {
             tracer,
             span,
-            request_ns: COMMAND_KINDS
-                .map(|kind| registry.histogram(&format!("{prefix}.request.{kind}.latency_ns"))),
-            request_bytes: COMMAND_KINDS
-                .map(|kind| registry.histogram(&format!("{prefix}.request.{kind}.bytes"))),
+            request_ns: WIRE
+                .map(|c| registry.histogram(&format!("{prefix}.request.{}.latency_ns", c.name))),
+            request_bytes: WIRE
+                .map(|c| registry.histogram(&format!("{prefix}.request.{}.bytes", c.name))),
             request_errors: registry.counter(&format!("{prefix}.request.errors")),
             http: HttpMetrics::register(registry, prefix),
             slow: slow_ms.map(|threshold_ms| SlowLog {
@@ -119,14 +92,13 @@ impl RequestCore {
     /// Per-command latency summary (count, p50, p99) of every command
     /// served so far — the `latency` field of `stats`.
     pub(crate) fn latency_summary(&self) -> BTreeMap<String, CommandLatency> {
-        COMMAND_KINDS
-            .iter()
+        WIRE.iter()
             .zip(&self.request_ns)
-            .filter_map(|(kind, histogram)| {
+            .filter_map(|(command, histogram)| {
                 let snap = histogram.snapshot();
                 (snap.count > 0).then(|| {
                     (
-                        (*kind).to_string(),
+                        command.name.to_string(),
                         CommandLatency {
                             count: snap.count,
                             p50_us: snap.quantile(0.5) / 1_000,
@@ -234,8 +206,8 @@ pub(crate) fn execute<S: Service>(
     bytes: usize,
 ) -> Response {
     let core = service.core();
-    let kind = request.kind();
-    let slot = command_slot(kind);
+    let slot = request.row();
+    let kind = WIRE[slot].name;
     core.request_bytes[slot].record(bytes as u64);
     let span = core.begin_span(origin, kind, meta);
     let ctx = span.as_ref().map(|s| s.ctx());

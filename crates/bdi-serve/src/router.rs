@@ -48,7 +48,8 @@ use crate::bridge::{mask_shards, merge_entries, merge_stats, BridgeIndex, ShardM
 use crate::client::WireConn;
 use crate::nio;
 use crate::protocol::{
-    MetricsBody, Request, Response, SpanBody, StatsBody, TraceBody, PROTOCOL_VERSION,
+    features, MetricsBody, Request, Response, SpanBody, StatsBody, Tier, TraceBody,
+    DEFAULT_FILTER_LIMIT, DEFAULT_TRACE_RECENT, PROTOCOL_VERSION,
 };
 use crate::replica::{spawn_lane, ReplicaLane, ShardState};
 use crate::request::RequestCore;
@@ -64,16 +65,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Wire features this router tier itself advertises on `hello`.
-pub const ROUTER_FEATURES: [&str; 6] = [
-    "ingest_batch",
-    "flush_barrier",
-    "split",
-    "replace",
-    "binary-frames",
-    "trace-context",
-];
 
 /// Router tunables.
 #[derive(Clone, Debug)]
@@ -413,7 +404,7 @@ impl nio::Service for RouteService {
             Request::Filter { limit, .. } => match gather_entries(shared, conns, &request) {
                 Ok((generation, gathered)) => {
                     let mut entries = merge_entries(gathered);
-                    entries.truncate(limit.unwrap_or(100));
+                    entries.truncate(limit.unwrap_or(DEFAULT_FILTER_LIMIT));
                     Response::Entries {
                         generation,
                         entries,
@@ -493,7 +484,10 @@ impl nio::Service for RouteService {
                 }
                 None => Response::Trace(TraceBody {
                     spans: vec![],
-                    recent: shared.core.tracer.recent(recent.unwrap_or(16)),
+                    recent: shared
+                        .core
+                        .tracer
+                        .recent(recent.unwrap_or(DEFAULT_TRACE_RECENT)),
                 }),
             },
             Request::Metrics => match conns.gather_all(shared, &Request::Metrics) {
@@ -516,7 +510,7 @@ impl nio::Service for RouteService {
             },
             Request::Hello => Response::Hello {
                 version: PROTOCOL_VERSION,
-                features: ROUTER_FEATURES.iter().map(|f| (*f).to_string()).collect(),
+                features: features(Tier::Router),
             },
             Request::Sync { .. } | Request::Restore { .. } => err(
                 "backend-only command: issue it against a `bdi serve` backend, not the router"

@@ -37,7 +37,8 @@ use crate::engine::{Engine, EngineMetrics};
 use crate::gen::{Generation, ShardedIndex, Swap};
 use crate::nio;
 use crate::protocol::{
-    MetricsBody, Request, Response, SpanBody, StatsBody, TraceBody, PROTOCOL_VERSION,
+    features, MetricsBody, Request, Response, SpanBody, StatsBody, Tier, TraceBody,
+    DEFAULT_FILTER_LIMIT, DEFAULT_TRACE_RECENT, PROTOCOL_VERSION,
 };
 use crate::request::RequestCore;
 use crate::snapshot::Snapshot;
@@ -151,29 +152,6 @@ impl Default for ServerConfig {
         }
     }
 }
-
-/// The wire features this build advertises in its `hello` reply. A
-/// router checks for the ones it depends on (`ingest_batch` for the
-/// pipelined lanes, `sync` for replacement bootstrap) instead of
-/// discovering their absence as unknown-command errors mid-stream, and
-/// peers negotiate the wire format off this list, never by trial and
-/// error.
-pub const FEATURES: [&str; 6] = [
-    "ingest_batch",
-    "flush_barrier",
-    "sync",
-    "restore",
-    "binary-frames",
-    "trace-context",
-];
-
-/// The `hello` feature gating the binary frame format.
-pub const FEATURE_BINARY: &str = "binary-frames";
-
-/// The `hello` feature gating trace-context propagation: peers that
-/// advertise it accept the binary frame trace extension and the
-/// JSON-lines `trace` envelope; peers that don't get plain requests.
-pub const FEATURE_TRACE: &str = "trace-context";
 
 /// Every ingest- and durability-path metric handle, resolved once at
 /// startup so the hot paths never take the registry's name lock (the
@@ -953,7 +931,7 @@ impl nio::Service for ServeService {
                             min.is_none_or(|lo| m >= lo) && max.is_none_or(|hi| m <= hi)
                         })
                     })
-                    .take(limit.unwrap_or(100))
+                    .take(limit.unwrap_or(DEFAULT_FILTER_LIMIT))
                     .cloned()
                     .collect();
                 Response::Entries {
@@ -1028,7 +1006,7 @@ impl nio::Service for ServeService {
             }
             Request::Hello => Response::Hello {
                 version: PROTOCOL_VERSION,
-                features: FEATURES.iter().map(|f| (*f).to_string()).collect(),
+                features: features(Tier::Backend),
             },
             Request::Sync { from } => self.control("sync", |reply| Job::Sync { from, reply }),
             Request::Restore {
@@ -1052,7 +1030,7 @@ impl nio::Service for ServeService {
                     },
                     None => TraceBody {
                         spans: Vec::new(),
-                        recent: tracer.recent(recent.unwrap_or(16)),
+                        recent: tracer.recent(recent.unwrap_or(DEFAULT_TRACE_RECENT)),
                     },
                 };
                 Response::Trace(body)

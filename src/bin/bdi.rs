@@ -80,7 +80,7 @@ USAGE:
                 [--replicas N] [--retries N] [--workers N]
                 [--threshold X] [--batch N] [--pipeline N] [--queue N]
                 [--trace-sample N]
-  bdi load      [--addr HOST:PORT] [--seed N] [--entities N] [--sources N] [--max-source-size N] [--readers N] [--batch N] [--http] [--binary] [--trace-sample N]
+  bdi load      [--addr HOST:PORT] [--seed N] [--entities N] [--sources N] [--max-source-size N] [--readers N] [--batch N]
   bdi stats     [--addr HOST:PORT] [--prometheus]
   bdi admin     --addr HOST:PORT (--hello
                 | --split SHARD --backends HOST:PORT,...
@@ -93,15 +93,14 @@ readiness loop (epoll) with a dispatch pool of --workers threads
 (default 0 = one worker); each connection autodetects its protocol
 from the first bytes — JSON lines or HTTP/1.1 (see docs/HTTP_API.md).
 --http binds an extra HTTP-flavored listener on its own port for
-gateway separation. `bdi load --http` drives the load over the HTTP
-gateway instead of JSON lines.
+gateway separation.
 
 Binary frames: servers and routers advertise the `binary-frames`
 feature on `hello`; peers that see it ship the hot write-path commands
 (ingest_batch, flush, sync, restore) as length-framed binary records
-instead of JSON lines (see docs/PROTOCOL.md). `bdi load --binary` asks
-the load driver to negotiate the upgrade for its ingest stream (it
-stays on JSON against a peer that does not advertise the feature).
+instead of JSON lines (see docs/PROTOCOL.md). `bdi load` negotiates
+the upgrade for its ingest stream (it stays on JSON against a peer
+that does not advertise the feature).
 
 Durability: --data-dir enables the write-ahead log and generation
 snapshots; restarting with the same directory recovers the ingested
@@ -137,10 +136,9 @@ full metrics registry in exposition format instead of the counters.
 
 Tracing: serve/route --trace-sample N records every Nth request as a
 span tree in an in-memory flight recorder (0 = off; slow requests are
-always kept when --slow-ms is set). `bdi load --trace-sample N` mints
-client-side trace ids instead and prints the last one. Fetch a tree
-with `bdi admin --trace ID` (ID in hex, as logged/printed), list
-recent ids with `bdi admin --trace-recent N`, or use the HTTP gateway
+always kept when --slow-ms is set). Fetch a tree with
+`bdi admin --trace ID` (ID in hex, as logged/printed), list recent ids
+with `bdi admin --trace-recent N`, or use the HTTP gateway
 (`GET /trace/:id`, `X-Bdi-Trace` — see docs/HTTP_API.md).";
 
 type Opts = HashMap<String, String>;
@@ -218,9 +216,6 @@ const COMMANDS: &[(&str, Run, &[&str])] = &[
             "max-source-size",
             "readers",
             "batch",
-            "http",
-            "binary",
-            "trace-sample",
         ],
     ),
     ("stats", cmd_stats, &["addr", "prometheus"]),
@@ -250,11 +245,7 @@ fn parse_opts(cmd: &str, known: &[&str], args: &[String]) -> Result<Opts, String
         if !known.contains(&key) {
             return Err(format!("unknown flag '--{key}' for '{cmd}'"));
         }
-        // `--http` is a boolean for `load` (drive the server over HTTP)
-        // but takes a bind address for `serve`/`route`.
-        let boolean = matches!(key, "json" | "prometheus" | "hello" | "binary")
-            || (key == "http" && cmd == "load");
-        if boolean {
+        if matches!(key, "json" | "prometheus" | "hello") {
             out.insert(key.to_string(), "true".to_string());
             continue;
         }
@@ -478,21 +469,8 @@ fn cmd_load(opts: &Opts) -> Result<(), String> {
         max_source_size: num(opts, "max-source-size", 60usize)?,
         readers: num(opts, "readers", 4usize)?,
         batch: num(opts, "batch", 1usize)?,
-        http: opts.contains_key("http"),
-        binary: opts.contains_key("binary"),
-        trace_sample: num(opts, "trace-sample", 0u64)?,
     };
     let report = bdi::serve::run_load(addr, &cfg).map_err(|e| e.to_string())?;
-    if cfg.binary {
-        println!(
-            "wire format: {}",
-            if report.wire_binary {
-                "binary frames (negotiated)"
-            } else {
-                "JSON lines (server did not offer binary-frames)"
-            }
-        );
-    }
     println!(
         "ingested {} records in {:.2}s ({:.0} rec/s), p50 {}us, p99 {}us, generation {}",
         report.records,
@@ -538,14 +516,6 @@ fn cmd_load(opts: &Opts) -> Result<(), String> {
         );
         for (lane, errors) in &report.replica_errors {
             println!("  {lane} = {errors}");
-        }
-    }
-    if report.traced_requests > 0 {
-        if let Some(id) = report.last_trace_id {
-            println!(
-                "traced {} ingest request(s); last trace id {id:016x} — fetch it with `bdi admin --addr {} --trace {id:016x}` while it's hot",
-                report.traced_requests, addr
-            );
         }
     }
     Ok(())
@@ -725,10 +695,10 @@ mod tests {
             parse("serve", &["--data-dir", "/x", "--workers", "2"]),
             Ok(vec!["data-dir".to_string(), "workers".to_string()])
         );
-        // `--http` takes a value for serve, none for load
+        // `--prometheus` is a switch: the flag after it is not its value
         assert_eq!(
-            parse("load", &["--http", "--binary"]),
-            Ok(vec!["binary".to_string(), "http".to_string()])
+            parse("stats", &["--prometheus", "--addr", "127.0.0.1:1"]),
+            Ok(vec!["addr".to_string(), "prometheus".to_string()])
         );
     }
 

@@ -10,9 +10,10 @@
 //! The WAL layer pins byte-identical segments however records are
 //! grouped into appends (a `bdi-serve` unit test); this test pins the
 //! whole stack: dispatch, the worker's one ingest cycle, publish,
-//! snapshot and replay.
+//! snapshot and replay. The same holds across wire formats: batches
+//! sent as binary frames and as JSON lines build the same state.
 
-use bdi::serve::{Client, Request};
+use bdi::serve::{Client, Request, Server, ServerConfig};
 use bdi::synth::{World, WorldConfig};
 use bdi::types::Record;
 use std::io::{BufRead, BufReader, Write};
@@ -236,4 +237,40 @@ fn batched_ingest_matches_per_record_ingest_live_and_after_recovery() {
     for d in dirs {
         let _ = std::fs::remove_dir_all(d);
     }
+}
+
+/// Format equivalence, pinned: the identical stream of `ingest_batch`
+/// requests sent as binary frames and as JSON lines must leave two
+/// servers in the same engine state — same counts, same clustering
+/// surface. The wire encoding is transport, never semantics.
+#[test]
+fn binary_and_json_wires_build_identical_state() {
+    let world = World::generate(WorldConfig {
+        n_entities: 60,
+        n_sources: 8,
+        ..WorldConfig::tiny(7)
+    });
+    let records = world.dataset.into_records();
+    let run = |binary: bool| {
+        let server = Server::start(ServerConfig::default()).expect("server starts");
+        let mut client = Client::connect(server.addr()).expect("connect");
+        if binary {
+            assert!(client.negotiate_binary().expect("hello"), "binary granted");
+        }
+        for chunk in records.chunks(16) {
+            client.ingest_batch(chunk.to_vec()).expect("ingest_batch");
+        }
+        client.flush().expect("flush");
+        let stats = client.stats().expect("stats");
+        let top = client.top_k("weight", 50).expect("top_k");
+        let titles: Vec<String> = top.into_iter().map(|e| e.title).collect();
+        drop(client);
+        server.shutdown();
+        (stats.records, stats.products, stats.applied, titles)
+    };
+    assert_eq!(
+        run(true),
+        run(false),
+        "binary wire changed the resulting engine state"
+    );
 }

@@ -11,6 +11,7 @@ use bdi::serve::{
     raise_nofile_limit, Client, HttpClient, Router, RouterConfig, Server, ServerConfig,
 };
 use bdi::synth::{World, WorldConfig};
+use bdi::types::{Record, RecordId, SourceId};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
@@ -152,10 +153,16 @@ fn keep_alive_reuses_one_connection() {
     http.lookup(&ids[0]).expect("lookup");
     http.top_k("price", 3).expect("top_k");
     let text = http.metrics_text().expect("metrics");
-    assert!(
-        text.contains("serve_http_requests"),
-        "http metrics exported"
-    );
+    for family in ["serve_http_requests", "serve_http_lookup_latency_ns_count"] {
+        assert!(
+            text.lines().any(|l| l.starts_with(family)),
+            "{family} exported"
+        );
+    }
+    // an array body dispatches as `ingest_batch` but is labelled by the
+    // route's `ingest` endpoint
+    let record = Record::new(RecordId::new(SourceId(9), 1), "Lumetra LX-100");
+    http.ingest_batch(&[record]).expect("batch ingest");
 
     // the scrape below is the second connection ever accepted
     let mut wire = Client::connect(server.addr()).expect("connect");
@@ -163,8 +170,28 @@ fn keep_alive_reuses_one_connection() {
     assert_eq!(
         metrics.counters.get("serve.conn.accepted").copied(),
         Some(2),
-        "four HTTP calls rode one connection"
+        "five HTTP calls rode one connection"
     );
+    // one latency histogram per endpoint, names unchanged
+    let endpoints: Vec<&str> = metrics
+        .histograms
+        .keys()
+        .filter_map(|name| {
+            name.strip_prefix("serve.http.")?
+                .strip_suffix(".latency_ns")
+        })
+        .collect();
+    assert_eq!(
+        endpoints,
+        [
+            "filter", "flush", "ingest", "lookup", "metrics", "other", "shutdown", "stats",
+            "top_k", "trace"
+        ]
+    );
+    let count =
+        |endpoint: &str| metrics.histograms[&format!("serve.http.{endpoint}.latency_ns")].count;
+    assert_eq!(count("lookup"), 1);
+    assert_eq!(count("ingest"), 1);
     server.shutdown();
 }
 
@@ -210,10 +237,26 @@ fn error_statuses_carry_structured_bodies() {
     let (status, body) = http.get("/ingest").expect("get");
     assert_error(status, &body, 405, "POST");
 
-    // 400: router-only command against a backend
+    // 404: a path no route serves, under any method, is not a 405
+    for path in [
+        "/stats/",
+        "/stats/x",
+        "/metrics/x",
+        "/filter/x?attribute=price",
+    ] {
+        let (status, body) = http.get(path).expect("get");
+        assert_error(status, &body, 404, "no such endpoint");
+    }
+
+    // 400: a count that is not a number, like a bad `k`
+    for path in ["/filter?attribute=price&limit=abc", "/trace/recent?n=abc"] {
+        let (status, body) = http.get(path).expect("get");
+        assert_error(status, &body, 400, "is not a number");
+    }
+
+    // 404: fleet admin has no HTTP route
     let (status, body) = http.post("/shutdown_fleet", b"").expect("post");
-    assert_eq!(status, 404, "fleet admin is not an HTTP endpoint");
-    let _ = body;
+    assert_error(status, &body, 404, "no such endpoint");
 
     server.shutdown();
 }

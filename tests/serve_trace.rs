@@ -8,7 +8,8 @@
 //! 1. **HTTP ingest through a 2-shard router**: the `X-Bdi-Trace`
 //!    header forces a trace; `GET /trace/:id` (router-merged) holds one
 //!    tree whose hop spans parent-link gateway → router request → lane
-//!    → backend request → engine/WAL, with both shards represented.
+//!    → backend request → engine/WAL, with both shards represented; a
+//!    traced lookup through the same router records `backend.query`.
 //! 2. **Slow exemplars survive sampling**: at 1-in-N sampling with a
 //!    huge N, `--slow-ms` still retains a full trace of each slow
 //!    request.
@@ -190,6 +191,18 @@ fn traced_http_ingest_reassembles_one_tree_across_the_fleet() {
     }
     assert!(count("wal.fsync") >= 1, "group commit fsync was traced");
     assert_eq!(count("publish"), serves.len(), "one publish per batch");
+
+    // a traced routed read records its scatter round trip
+    let lookup_id = 0x00000000feedf00du64;
+    http.set_trace_header(Some(format!("{lookup_id:016x}")));
+    let entry = http.lookup("TRACE-ID-0003").expect("traced lookup");
+    http.set_trace_header(None);
+    assert!(entry.is_some(), "the ingested record resolves");
+    let names = names_of(&http.trace(lookup_id).expect("GET /trace/:id"));
+    assert!(
+        names.iter().any(|n| n == "http.request") && names.iter().any(|n| n == "backend.query"),
+        "routed lookup tree: {names:?}"
+    );
 
     router.shutdown();
     for b in backends {
