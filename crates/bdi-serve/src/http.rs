@@ -345,16 +345,10 @@ pub(crate) fn respond(
     let trace_id = root.as_ref().map(|s| s.trace_id());
     let mut scope = bdi_obs::TraceScope::wrap(tracer, root);
     let ctx = scope.ctx();
-    // HEAD is GET with the body suppressed on the wire: same status,
-    // Content-Type, and Content-Length, zero body bytes. Routing it as
-    // GET keeps HEAD read-only (GET /shutdown is a 405, so a HEAD can
-    // never trigger a POST side effect).
-    let head_only = req.method == "HEAD";
-    let method = if head_only { "GET" } else { &req.method };
-    let (row, mut resp) = route(method, req, |r| dispatch(r, ctx));
+    let (row, mut resp) = route(routed_method(req), req, |r| dispatch(r, ctx));
     scope.set_cmd(row.map_or("other", |row| WIRE[row].name));
     drop(scope);
-    resp.head = head_only;
+    resp.head = req.method == "HEAD";
     resp.trace = trace_id;
     metrics.requests.inc();
     row.and_then(|row| metrics.latency_ns[row].as_ref())
@@ -369,6 +363,33 @@ pub(crate) fn respond(
     resp
 }
 
+/// The method a request is routed under. HEAD is GET with the body
+/// suppressed on the wire: same status, Content-Type, and
+/// Content-Length, zero body bytes. Routing it as GET keeps HEAD
+/// read-only (GET /shutdown is a 405, so a HEAD can never trigger a
+/// POST side effect).
+fn routed_method(req: &HttpRequest) -> &str {
+    match req.method.as_str() {
+        "HEAD" => "GET",
+        method => method,
+    }
+}
+
+/// The first [`WIRE`] route `method` and `path` match: its row, and
+/// what its `:id` segment captured (`None` on a route without one).
+fn matched<'p>(method: &str, path: &'p str) -> Option<(usize, Option<&'p str>)> {
+    routes().find_map(|(row, route)| {
+        let captured = route.capture(path).filter(|_| route.method == method)?;
+        Some((row, route.path.contains(':').then_some(captured)))
+    })
+}
+
+/// The [`WIRE`] row `req` routes to; `None` for the index, a 404 or a
+/// 405. The readiness loop reads it to decide where the request runs.
+pub(crate) fn row(req: &HttpRequest) -> Option<usize> {
+    matched(routed_method(req), &req.path).map(|(row, _)| row)
+}
+
 /// Route a request through the first [`WIRE`] route `method` and its
 /// path match, and answer it. Returns the matched row — the endpoint
 /// label for metrics — alongside the response.
@@ -381,11 +402,7 @@ fn route(
     if method == "GET" && path == "/" {
         return (None, index());
     }
-    let matched = routes().find_map(|(row, route)| {
-        let captured = route.capture(path).filter(|_| route.method == method)?;
-        Some((row, route.path.contains(':').then_some(captured)))
-    });
-    let Some((row, id)) = matched else {
+    let Some((row, id)) = matched(method, path) else {
         // a path some route serves under another method answers 405,
         // not 404, so a curl typo (`GET /ingest`) explains itself
         let resp = match routes().find(|(_, route)| route.capture(path).is_some()) {

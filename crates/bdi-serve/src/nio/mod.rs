@@ -1,6 +1,6 @@
 //! The readiness-loop front-end: one event-loop thread multiplexing
 //! every connection over raw `epoll` ([`sys`]), plus a small worker
-//! pool executing requests.
+//! pool for the requests that may block.
 //!
 //! Tens of thousands of mostly-idle connections cost buffers here, not
 //! threads. The division of labor:
@@ -10,27 +10,36 @@
 //!   incrementally (JSON lines and binary frames, *or* HTTP/1.1 — the
 //!   protocol is sniffed from a connection's first bytes, so one
 //!   listener serves all three), and writes responses, arming
-//!   `EPOLLOUT` only while a connection has backlog. It never parses
-//!   JSON and never touches the engine, so slow engine work (a flush
-//!   barrier, ingest backpressure, a scatter-gather fan-out) can never
-//!   stall accept/read/write progress.
-//! * **Workers** run each framed request through the request core
-//!   ([`crate::request`]): the wire's codec adapter decodes it, the
-//!   envelope executes it against the tier's [`Service::dispatch`],
-//!   and the adapter encodes the reply. Frames queue per connection
-//!   ([`ConnCell`]), and at most one worker services a given
-//!   connection at a time — requests on one connection are processed
-//!   strictly in order and responses never interleave (which is what
-//!   makes HTTP pipelining answer in request order). Workers may
-//!   block; the pool size bounds how many blocking commands run at
-//!   once.
-//! * Finished responses flow back through a completion list and a
+//!   `EPOLLOUT` only while a connection has backlog. It decodes each
+//!   JSON line, and routes each HTTP request, far enough to learn its
+//!   [`WIRE`] row. A row the tier runs inline ([`WIRE`]'s `inline`
+//!   column: on a backend `lookup`, `stats`, `metrics`, `trace` and
+//!   `hello`, answered from the published generation or process-local
+//!   state at a cost that does not grow with the catalog) executes
+//!   right there, through the same request core ([`crate::request`]),
+//!   its reply appended straight to the write buffer. So a read never
+//!   waits behind the flush barrier or backpressured ingest that
+//!   another connection holds a worker with.
+//! * **Workers** run the rest through the same request core: binary
+//!   frames (raw — no inline row has an opcode), writes, flush
+//!   barriers, O(catalog) scans and every router read (a scatter over
+//!   sockets). Workers may block; the pool size bounds how many
+//!   blocking commands run at once.
+//! * **Order holds per connection.** Frames the loop does not run
+//!   queue per connection ([`ConnCell`]), and at most one worker
+//!   services a given connection at a time. The loop runs a frame
+//!   inline only while its connection has nothing pending or in flight
+//!   on the pool, so requests on one connection are processed strictly
+//!   in order — a read after a write sees the write — and responses
+//!   never interleave (which is what makes HTTP pipelining answer in
+//!   request order).
+//! * Finished pool responses flow back through a completion list and a
 //!   waker (a socketpair byte), and the loop pushes the bytes out.
 //!
 //! Framing errors are *answered in order*: the framing layer emits a
-//! pre-encoded response as a [`Frame::Raw`] that rides the same
-//! per-connection queue as real requests, so a pipelined client never
-//! sees an error overtake an earlier response.
+//! pre-encoded response as a [`Frame::Raw`] that takes the same place in
+//! the connection's order as a real request, so a pipelined client
+//! never sees an error overtake an earlier response.
 
 pub(crate) mod sys;
 
@@ -38,8 +47,8 @@ pub use sys::raise_nofile_limit;
 
 use crate::frame;
 use crate::http::{self, HttpRequest, HttpResponse};
-use crate::protocol::{Request, Response};
-use crate::request::{self, RequestCore};
+use crate::protocol::{Request, Response, Tier, WIRE};
+use crate::request::{self, Decoded, RequestCore};
 use bdi_obs::{Counter, Gauge, Registry, TraceContext};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -84,7 +93,8 @@ const TOKEN_CONN0: u64 = 1024;
 pub(crate) struct RequestMeta {
     /// Peer socket address, when the transport had one.
     pub peer: Option<SocketAddr>,
-    /// Nanoseconds between framing completion and dispatch start.
+    /// Nanoseconds between framing completion and dispatch start; 0
+    /// for a request the loop ran inline.
     pub queued_ns: u64,
 }
 
@@ -94,9 +104,13 @@ pub(crate) struct RequestMeta {
 /// run the same loop, the same codec adapters and the same envelope.
 pub(crate) trait Service: Send + Sync + 'static {
     /// Per-connection dispatch state (the router's lazy backend
-    /// connections; `()` for a backend). Only one worker touches a
-    /// connection's state at a time.
+    /// connections; `()` for a backend). Only one thread — the loop or
+    /// one worker — touches a connection's state at a time.
     type Conn: Send + 'static;
+
+    /// Which tier this is: the [`WIRE`] rows it answers, and the ones
+    /// among them the loop runs inline.
+    const TIER: Tier;
 
     fn new_conn(&self) -> Self::Conn;
 
@@ -120,29 +134,81 @@ pub(crate) trait Service: Send + Sync + 'static {
     fn shutting_down(&self) -> bool;
 }
 
-/// One framed request (or framing-layer output) on a connection's
-/// queue.
+/// One framed request (or framing-layer output).
 enum Frame {
-    /// A complete JSON line (newline stripped, non-blank).
-    Line(String),
+    /// A complete JSON line (newline stripped, non-blank), decoded;
+    /// `bytes` is its length as framed.
+    Line { decoded: Decoded, bytes: usize },
     /// A complete binary frame (magic through CRC trailer, verbatim).
     Binary(Vec<u8>),
     /// A complete HTTP request.
     Http(HttpRequest),
     /// Pre-encoded bytes from the framing layer itself — an interim
     /// `100 Continue`, or the response to a framing-fatal request —
-    /// queued so they stay in order with real responses.
+    /// kept in order with real responses.
     Raw { bytes: Vec<u8>, close: bool },
 }
 
-/// The worker-facing half of a connection: its frame queue, its
-/// response buffer, and its dispatch state.
+impl Frame {
+    /// Whether `tier` runs this frame on the loop: a request whose
+    /// [`WIRE`] row is inline on the tier, or a frame that names no
+    /// command (framing-layer bytes, an undecodable line, an HTTP path
+    /// no row routes), which is answered without dispatch. Binary
+    /// frames always go to the pool.
+    fn inline(&self, tier: Tier) -> bool {
+        let row = match self {
+            Frame::Line {
+                decoded: Ok((_, request)),
+                ..
+            } => Some(request.row()),
+            Frame::Http(req) => http::row(req),
+            Frame::Binary(_) => return false,
+            Frame::Line {
+                decoded: Err(_), ..
+            }
+            | Frame::Raw { .. } => None,
+        };
+        row.is_none_or(|row| WIRE[row].inline.contains(&tier))
+    }
+}
+
+/// Run one frame through the request core, appending its reply to
+/// `out` — the one step both the loop and a pool worker take. Returns
+/// whether the connection closes after it.
+fn serve<S: Service>(
+    service: &S,
+    state: &mut S::Conn,
+    frame: Frame,
+    meta: &RequestMeta,
+    out: &mut Vec<u8>,
+) -> bool {
+    match frame {
+        Frame::Line { decoded, bytes } => {
+            request::serve_line(service, state, decoded, bytes, meta, out)
+        }
+        Frame::Binary(raw) => request::serve_frame(service, state, &raw, meta, out),
+        Frame::Http(req) => {
+            let resp = request::serve_http(service, state, &req, meta);
+            out.extend_from_slice(&http::encode(&resp));
+            resp.close
+        }
+        Frame::Raw { bytes, close } => {
+            out.extend_from_slice(&bytes);
+            close
+        }
+    }
+}
+
+/// The half of a connection the loop shares with the pool: its frame
+/// queue, the pool's response buffer, and its dispatch state.
 struct ConnShared<C> {
-    /// Framed requests with the instant they finished framing (the gap
-    /// to dispatch is the queue wait reported in [`RequestMeta`]).
+    /// Framed requests waiting for a worker, with the instant they
+    /// finished framing (the gap to dispatch is the queue wait reported
+    /// in [`RequestMeta`]).
     pending: VecDeque<(Frame, Instant)>,
     out: Vec<u8>,
-    /// A worker currently owns this connection's queue.
+    /// A worker currently owns this connection's queue (or is about
+    /// to): the loop runs nothing inline meanwhile.
     busy: bool,
     /// The loop tore the connection down; discard further output.
     closed: bool,
@@ -151,7 +217,7 @@ struct ConnShared<C> {
     /// closes once the outbox drains.
     done: bool,
     /// Dispatch state, taken by the servicing worker for the duration
-    /// of a batch.
+    /// of a batch; the loop uses it in place while nothing is busy.
     state: Option<C>,
 }
 
@@ -674,9 +740,7 @@ impl<S: Service> EventLoop<S> {
                 }
             }
         }
-        let frames = parse_frames(self.conns.get_mut(&token).expect("still present"));
-        self.deliver(token, frames);
-        let conn = self.conns.get_mut(&token).expect("still present");
+        let frames = parse_frames(conn);
         if conn.peer_closed || conn.broken {
             // EOF stays readable forever under level triggering — mask
             // reads off; writes (and the completion path) finish up
@@ -686,42 +750,46 @@ impl<S: Service> EventLoop<S> {
                 let _ = self.epoll.modify(conn.stream.as_raw_fd(), token, interest);
             }
         }
-        if conn.peer_closed {
-            let quiescent = {
-                let g = conn.cell.shared.lock();
-                g.pending.is_empty() && !g.busy && g.out.is_empty()
-            };
-            if quiescent && conn.wbuf.is_empty() {
-                self.drop_conn(token);
-            }
-        }
+        self.deliver(token, frames);
+        // push out inline replies; a half-closed connection with
+        // nothing left to answer closes here (which may drop it, so
+        // nothing after this may assume it survived)
+        self.pump_out(token);
     }
 
-    /// Queue parsed frames for dispatch, scheduling the connection on
-    /// the pool if no worker currently owns it.
+    /// Run or queue parsed frames in arrival order: a frame the tier
+    /// runs inline executes here, into the write buffer, while the
+    /// connection has nothing on the pool; from the first frame that
+    /// needs a worker on, the rest queue behind it, and the connection
+    /// is scheduled on the pool if no worker currently owns it.
     fn deliver(&mut self, token: u64, frames: Vec<Frame>) {
-        if frames.is_empty() {
-            return;
-        }
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let schedule = {
+        let mut schedule = false;
+        {
             let mut g = conn.cell.shared.lock();
-            if g.done {
-                return; // closing: no further requests accepted
+            for frame in frames {
+                if g.done {
+                    break; // closing: no further requests accepted
+                }
+                if !g.busy && frame.inline(S::TIER) {
+                    // replies the pool finished go out first; with
+                    // nothing busy, no worker touches `out` or `state`
+                    conn.wbuf.append(&mut g.out);
+                    let meta = RequestMeta {
+                        peer: conn.cell.peer,
+                        queued_ns: 0,
+                    };
+                    let state = g.state.as_mut().expect("state present while idle");
+                    g.done = serve(&*self.service, state, frame, &meta, &mut conn.wbuf);
+                } else {
+                    self.inflight.fetch_add(1, Ordering::SeqCst);
+                    g.pending.push_back((frame, Instant::now()));
+                    schedule |= !std::mem::replace(&mut g.busy, true);
+                }
             }
-            self.inflight
-                .fetch_add(frames.len() as u64, Ordering::SeqCst);
-            let framed = Instant::now();
-            g.pending.extend(frames.into_iter().map(|f| (f, framed)));
-            if g.busy {
-                false
-            } else {
-                g.busy = true;
-                true
-            }
-        };
+        }
         if schedule {
             let _ = self.inject.send(Arc::clone(&conn.cell));
         }
@@ -841,25 +909,30 @@ fn parse_frames<C>(conn: &mut Conn<C>) -> Vec<Frame> {
             }
             Proto::Json => match conn.rbuf.iter().position(|&b| b == b'\n') {
                 Some(idx) => {
-                    let mut line: Vec<u8> = conn.rbuf.drain(..=idx).collect();
-                    line.pop(); // the \n
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
+                    let line = &conn.rbuf[..idx];
+                    let line = line.strip_suffix(b"\r").unwrap_or(line);
+                    // decoded once, here: the row decides where it runs
+                    let frame = std::str::from_utf8(line).map(|line| {
+                        (!line.trim().is_empty()).then(|| Frame::Line {
+                            decoded: request::decode_line(line),
+                            bytes: line.len(),
+                        })
+                    });
+                    conn.rbuf.drain(..=idx);
+                    match frame {
+                        Ok(Some(frame)) => frames.push(frame),
+                        Ok(None) => {}
+                        // mirror `BufRead::lines`: invalid UTF-8 tears
+                        // the connection down without a response
+                        Err(_) => {
+                            conn.broken = true;
+                            frames.push(Frame::Raw {
+                                bytes: Vec::new(),
+                                close: true,
+                            });
+                            break;
+                        }
                     }
-                    // mirror `BufRead::lines`: invalid UTF-8 tears the
-                    // connection down without a response
-                    let Ok(line) = String::from_utf8(line) else {
-                        conn.broken = true;
-                        frames.push(Frame::Raw {
-                            bytes: Vec::new(),
-                            close: true,
-                        });
-                        break;
-                    };
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    frames.push(Frame::Line(line));
                 }
                 None => {
                     if conn.rbuf.len() > MAX_LINE {
@@ -898,8 +971,9 @@ fn parse_frames<C>(conn: &mut Conn<C>) -> Vec<Frame> {
 
 /// A pool worker: claim a connection, drain its frame queue in order
 /// through the request core, hand the response bytes back, repeat.
-/// Dispatch may block (flush barriers, ingest backpressure) — that is
-/// the point of running it here and not on the loop.
+/// Dispatch may block (flush barriers, ingest backpressure, a scatter
+/// over sockets) — that is the point of running it here and not on the
+/// loop.
 fn worker_loop<S: Service>(
     service: Arc<S>,
     rx: Receiver<Arc<ConnCell<S::Conn>>>,
@@ -944,23 +1018,7 @@ fn worker_loop<S: Service>(
                     peer: cell.peer,
                     queued_ns: framed_at.elapsed().as_nanos() as u64,
                 };
-                done = match frame {
-                    Frame::Line(line) => {
-                        request::serve_line(&*service, &mut state, &line, &meta, &mut out)
-                    }
-                    Frame::Binary(raw) => {
-                        request::serve_frame(&*service, &mut state, &raw, &meta, &mut out)
-                    }
-                    Frame::Http(req) => {
-                        let resp = request::serve_http(&*service, &mut state, &req, &meta);
-                        out.extend_from_slice(&http::encode(&resp));
-                        resp.close
-                    }
-                    Frame::Raw { bytes, close } => {
-                        out.extend_from_slice(&bytes);
-                        close
-                    }
-                };
+                done = serve(&*service, &mut state, frame, &meta, &mut out);
             }
             {
                 let mut g = cell.shared.lock();

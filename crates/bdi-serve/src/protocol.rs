@@ -108,8 +108,14 @@ pub struct CommandSpec {
     /// The tiers that answer it; the other tier answers it with a
     /// `backend-only` / `router-only` error.
     pub tiers: &'static [Tier],
+    /// The tiers that run it on the readiness loop thread instead of the
+    /// dispatch pool: a subset of `tiers`, for commands that never
+    /// block and whose cost does not grow with the catalog. None of
+    /// them has an opcode — binary frames always go to the pool.
+    pub inline: &'static [Tier],
 }
 
+const NONE: &[Tier] = &[];
 const BOTH: &[Tier] = &[Tier::Backend, Tier::Router];
 const BACKEND: &[Tier] = &[Tier::Backend];
 const ROUTER: &[Tier] = &[Tier::Router];
@@ -117,28 +123,31 @@ const ROUTER: &[Tier] = &[Tier::Router];
 /// Every wire command, one row per [`Request`] variant
 /// ([`Request::row`] is the one match from a variant to its row). The
 /// per-command metrics, the binary request opcodes, the HTTP routes,
-/// the `GET /` index and each tier's `hello` features are read from
-/// here, and `tests/wire_docs.rs` holds the command, opcode and
-/// endpoint tables of `docs/PROTOCOL.md` and `docs/HTTP_API.md` to it.
+/// the `GET /` index, each tier's `hello` features and which requests
+/// the readiness loop answers itself are read from here, and
+/// `tests/wire_docs.rs` holds the command, opcode and endpoint tables
+/// of `docs/PROTOCOL.md` and `docs/HTTP_API.md` to it.
+///
+/// A router runs only `hello` inline: its reads scatter over sockets.
 #[rustfmt::skip]
 pub const WIRE: [CommandSpec; 15] = [
-    CommandSpec { name: "lookup",       opcode: None,                  http: &[Route::get("/lookup/:id", "")], tiers: BOTH },
-    CommandSpec { name: "filter",       opcode: None,                  http: &[Route::get("/filter", "attribute=&min=&max=&limit=")], tiers: BOTH },
-    CommandSpec { name: "top_k",        opcode: None,                  http: &[Route::get("/top_k", "attribute=&k=")], tiers: BOTH },
-    CommandSpec { name: "ingest",       opcode: None,                  http: &[Route::post("/ingest")], tiers: BOTH },
-    CommandSpec { name: "ingest_batch", opcode: Some(OP_INGEST_BATCH), http: &[Route::post("/ingest")], tiers: BOTH },
-    CommandSpec { name: "flush",        opcode: Some(OP_FLUSH),        http: &[Route::post("/flush")], tiers: BOTH },
-    CommandSpec { name: "stats",        opcode: None,                  http: &[Route::get("/stats", "")], tiers: BOTH },
-    CommandSpec { name: "metrics",      opcode: None,                  http: &[Route::get("/metrics", "")], tiers: BOTH },
-    CommandSpec { name: "shutdown",     opcode: None,                  http: &[Route::post("/shutdown")], tiers: BOTH },
-    CommandSpec { name: "hello",        opcode: None,                  http: &[], tiers: BOTH },
-    CommandSpec { name: "sync",         opcode: Some(OP_SYNC),         http: &[], tiers: BACKEND },
-    CommandSpec { name: "restore",      opcode: Some(OP_RESTORE),      http: &[], tiers: BACKEND },
-    CommandSpec { name: "split",        opcode: None,                  http: &[], tiers: ROUTER },
-    CommandSpec { name: "replace",      opcode: None,                  http: &[], tiers: ROUTER },
+    CommandSpec { name: "lookup",       opcode: None,                  http: &[Route::get("/lookup/:id", "")], tiers: BOTH, inline: BACKEND },
+    CommandSpec { name: "filter",       opcode: None,                  http: &[Route::get("/filter", "attribute=&min=&max=&limit=")], tiers: BOTH, inline: NONE },
+    CommandSpec { name: "top_k",        opcode: None,                  http: &[Route::get("/top_k", "attribute=&k=")], tiers: BOTH, inline: NONE },
+    CommandSpec { name: "ingest",       opcode: None,                  http: &[Route::post("/ingest")], tiers: BOTH, inline: NONE },
+    CommandSpec { name: "ingest_batch", opcode: Some(OP_INGEST_BATCH), http: &[Route::post("/ingest")], tiers: BOTH, inline: NONE },
+    CommandSpec { name: "flush",        opcode: Some(OP_FLUSH),        http: &[Route::post("/flush")], tiers: BOTH, inline: NONE },
+    CommandSpec { name: "stats",        opcode: None,                  http: &[Route::get("/stats", "")], tiers: BOTH, inline: BACKEND },
+    CommandSpec { name: "metrics",      opcode: None,                  http: &[Route::get("/metrics", "")], tiers: BOTH, inline: BACKEND },
+    CommandSpec { name: "shutdown",     opcode: None,                  http: &[Route::post("/shutdown")], tiers: BOTH, inline: NONE },
+    CommandSpec { name: "hello",        opcode: None,                  http: &[], tiers: BOTH, inline: BOTH },
+    CommandSpec { name: "sync",         opcode: Some(OP_SYNC),         http: &[], tiers: BACKEND, inline: NONE },
+    CommandSpec { name: "restore",      opcode: Some(OP_RESTORE),      http: &[], tiers: BACKEND, inline: NONE },
+    CommandSpec { name: "split",        opcode: None,                  http: &[], tiers: ROUTER, inline: NONE },
+    CommandSpec { name: "replace",      opcode: None,                  http: &[], tiers: ROUTER, inline: NONE },
     // `/trace/recent` also matches `/trace/:id`: the literal route is
     // listed first so it wins
-    CommandSpec { name: "trace",        opcode: None,                  http: &[Route::get("/trace/recent", "n="), Route::get("/trace/:id", "")], tiers: BOTH },
+    CommandSpec { name: "trace",        opcode: None,                  http: &[Route::get("/trace/recent", "n="), Route::get("/trace/:id", "")], tiers: BOTH, inline: BACKEND },
 ];
 
 /// The binary reply opcodes with the [`Response`] each carries — the

@@ -6,18 +6,20 @@
 //! lives here, once:
 //!
 //! * three **codec adapters** ([`serve_line`], [`serve_frame`],
-//!   [`serve_http`]) decode what the front-end framed — a JSON line, a
-//!   binary frame, an HTTP request — into the same [`Request`] plus the
-//!   trace context it arrived with, and encode the [`Response`] back
-//!   into that wire's bytes;
+//!   [`serve_http`]) take what the front-end framed — a JSON line
+//!   (already decoded by [`decode_line`]), a binary frame, an HTTP
+//!   request — as the same [`Request`] plus the trace context it
+//!   arrived with, and encode the [`Response`] back into that wire's
+//!   bytes;
 //! * the **envelope** ([`execute`]) wraps the dispatch: it mints the
-//!   tier's request span (with a `queue.wait` child for the time spent
-//!   on the front-end's dispatch queue), isolates a panicking handler
-//!   behind `catch_unwind`, records the per-command latency / payload
-//!   size / error metrics, and writes the slow-request log.
+//!   tier's request span (with a `queue.wait` child for the time a
+//!   request spent queued for the dispatch pool), isolates a panicking
+//!   handler behind `catch_unwind`, records the per-command latency /
+//!   payload size / error metrics, and writes the slow-request log.
 //!
 //! So a request is counted, traced, and slow-logged identically
-//! whichever wire carried it and whichever tier answered it.
+//! whichever wire carried it, whichever tier answered it, and whether
+//! the readiness loop or a pool worker ran it.
 
 use crate::frame;
 use crate::http::{self, HttpMetrics, HttpRequest, HttpResponse};
@@ -117,9 +119,10 @@ impl RequestCore {
     }
 
     /// Mint the tier's request span for one request, or `None` when it
-    /// runs untraced. A traced request that waited on the front-end's
-    /// dispatch queue also gets a synthetic `queue.wait` child covering
-    /// the wait (it ends where the request span starts).
+    /// runs untraced. A traced request that waited for the dispatch
+    /// pool also gets a synthetic `queue.wait` child covering the wait
+    /// (it ends where the request span starts); one the readiness loop
+    /// ran itself waited for nothing and gets none.
     fn begin_span(
         &self,
         origin: Origin,
@@ -232,16 +235,14 @@ pub(crate) fn execute<S: Service>(
     response
 }
 
-/// The JSON-lines adapter: decode one request line, execute it, append
-/// the response line (newline included) to `out`. Returns whether the
-/// connection should close after it.
-pub(crate) fn serve_line<S: Service>(
-    service: &S,
-    conn: &mut S::Conn,
-    line: &str,
-    meta: &RequestMeta,
-    out: &mut Vec<u8>,
-) -> bool {
+/// One JSON request line, decoded: the request with the trace context
+/// its `traced` envelope carried, or the `bad request` message.
+pub(crate) type Decoded = Result<(Option<TraceContext>, Request), String>;
+
+/// Decode one JSON request line. The readiness loop calls this once
+/// per line, as it frames it, to learn the command's [`WIRE`] row; the
+/// result is what [`serve_line`] runs, on the loop or on the pool.
+pub(crate) fn decode_line(line: &str) -> Decoded {
     // an optional `traced` envelope prefixes the request with the
     // caller's context — detectable from the leading key, so plain
     // requests never pay a second parse
@@ -251,16 +252,25 @@ pub(crate) fn serve_line<S: Service>(
     } else {
         serde_json::from_str::<Request>(line).map(|request| (None, request))
     };
-    let response = match parsed {
-        Ok((inbound, request)) => execute(
-            service,
-            conn,
-            request,
-            Origin::Wire(inbound),
-            meta,
-            line.len(),
-        ),
-        Err(e) => service.core().reject(format!("bad request: {e}")),
+    parsed.map_err(|e| format!("bad request: {e}"))
+}
+
+/// The JSON-lines adapter: execute one decoded request line (`bytes`
+/// long as framed), append the response line (newline included) to
+/// `out`. Returns whether the connection should close after it.
+pub(crate) fn serve_line<S: Service>(
+    service: &S,
+    conn: &mut S::Conn,
+    decoded: Decoded,
+    bytes: usize,
+    meta: &RequestMeta,
+    out: &mut Vec<u8>,
+) -> bool {
+    let response = match decoded {
+        Ok((inbound, request)) => {
+            execute(service, conn, request, Origin::Wire(inbound), meta, bytes)
+        }
+        Err(message) => service.core().reject(message),
     };
     match serde_json::to_string(&response) {
         Ok(body) => out.extend_from_slice(body.as_bytes()),

@@ -76,8 +76,9 @@ pub struct RouterConfig {
     /// Additional dedicated HTTP listener (served by the same loop).
     pub http_addr: Option<String>,
     /// Dispatch worker threads (0 resolves to one worker). Bounds how
-    /// many blocking fleet operations (flush barriers, splits) run at
-    /// once.
+    /// many blocking fleet operations (flush barriers, splits, and the
+    /// reads, each a scatter over backend sockets) run at once; only
+    /// `hello` runs on the readiness loop.
     pub workers: usize,
     /// Backend `bdi serve` addresses. With `replicas == R`, consecutive
     /// groups of R addresses form one shard: `backends[s*R..(s+1)*R]`
@@ -378,6 +379,7 @@ struct RouteService {
 
 impl nio::Service for RouteService {
     type Conn = QueryConns;
+    const TIER: Tier = Tier::Router;
 
     fn new_conn(&self) -> QueryConns {
         // lazy: a connection that only ingests opens none
@@ -510,7 +512,7 @@ impl nio::Service for RouteService {
             },
             Request::Hello => Response::Hello {
                 version: PROTOCOL_VERSION,
-                features: features(Tier::Router),
+                features: features(Self::TIER),
             },
             Request::Sync { .. } | Request::Restore { .. } => err(
                 "backend-only command: issue it against a `bdi serve` backend, not the router"

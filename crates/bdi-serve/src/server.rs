@@ -10,7 +10,13 @@
 //!   it, is decoded into a [`Request`], wrapped by the shared envelope
 //!   (`crate::request`) and executed by the backend's
 //!   `Service::dispatch` — the only function here that matches on
-//!   request variants;
+//!   request variants. The loop thread itself executes the reads
+//!   answered from the published generation or process-local state
+//!   (`lookup`, `stats`, `metrics`, `trace`, `hello` — the `inline`
+//!   column of [`crate::protocol::WIRE`]); the pool executes the
+//!   commands that may block (ingest, `flush`, `sync`, `restore`,
+//!   `shutdown`) and the O(catalog) scans (`filter`, `top_k`), so a
+//!   lookup never waits behind a writer;
 //! * one **ingest worker** owns the [`Engine`]. Handlers forward
 //!   `ingest` records through a bounded crossbeam channel — when the
 //!   worker falls behind, the channel fills and senders block, which is
@@ -90,9 +96,11 @@ pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
     /// Dispatch worker threads for the front-end (0 resolves to one
-    /// worker). This bounds how many *blocking* commands (flush
-    /// barriers, backpressured ingests) run at once — queries are
-    /// cheap and rarely queue.
+    /// worker). This bounds how many commands that may block (flush
+    /// barriers, backpressured ingests, `sync`, `restore`) or scan the
+    /// catalog (`filter`, `top_k`) run at once. It does not delay
+    /// reads: `lookup`, `stats`, `metrics`, `trace` and `hello` run on
+    /// the readiness loop.
     pub workers: usize,
     /// Additional dedicated HTTP listener address. Optional: the
     /// front-end already answers HTTP on the main port via
@@ -897,6 +905,7 @@ impl ServeService {
 
 impl nio::Service for ServeService {
     type Conn = ();
+    const TIER: Tier = Tier::Backend;
 
     fn new_conn(&self) {}
 
@@ -1006,7 +1015,7 @@ impl nio::Service for ServeService {
             }
             Request::Hello => Response::Hello {
                 version: PROTOCOL_VERSION,
-                features: features(Tier::Backend),
+                features: features(Self::TIER),
             },
             Request::Sync { from } => self.control("sync", |reply| Job::Sync { from, reply }),
             Request::Restore {

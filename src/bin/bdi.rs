@@ -89,9 +89,12 @@ USAGE:
   bdi help
 
 Front-end: serve and route accept any number of connections on one
-readiness loop (epoll) with a dispatch pool of --workers threads
-(default 0 = one worker); each connection autodetects its protocol
-from the first bytes — JSON lines or HTTP/1.1 (see docs/HTTP_API.md).
+readiness loop (epoll); each connection autodetects its protocol from
+the first bytes — JSON lines or HTTP/1.1 (see docs/HTTP_API.md). A
+serve loop answers lookup, stats, metrics, trace and hello itself, so
+reads never wait behind writes; ingest, flush, filter, top_k and every
+route read run on a dispatch pool of --workers threads (default 0 =
+one worker).
 --http binds an extra HTTP-flavored listener on its own port for
 gateway separation.
 

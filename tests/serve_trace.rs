@@ -17,8 +17,10 @@
 //!    and over JSON lines records identical span-name multisets.
 //! 4. **One tree shape on every wire**: an HTTP request to a bare
 //!    backend records `http.request → serve.request`, the same
-//!    `serve.request` span (with its `queue.wait` child) a JSON line or
-//!    binary frame gets.
+//!    `serve.request` span a JSON line or binary frame gets. A pooled
+//!    command's request span has a `queue.wait` child; a traced JSON
+//!    `lookup`, which the backend's readiness loop runs itself, still
+//!    records `serve.request` but waited for nothing and has none.
 //! 5. **Old peers**: a client that never negotiated `trace-context`
 //!    sends byte-identical pre-flag frames (flags byte 0) and its
 //!    requests leave no retained trace.
@@ -312,9 +314,37 @@ fn http_gateway_span_parents_the_backend_request_span() {
     assert_eq!(requests.len(), 1, "gateway parents one request span");
     assert_eq!(requests[0].span.cmd, "ingest");
     assert!(
+        requests[0]
+            .children
+            .iter()
+            .any(|c| c.span.name == "queue.wait"),
+        "a pooled ingest waited for a worker: {tree:?}"
+    );
+    assert!(
         names_of(&tree).iter().any(|n| n == "engine.insert"),
         "engine stages hang below the request span"
     );
+
+    // a lookup runs on the readiness loop: same request span, no wait
+    let lookup_id = 0xbeefu64;
+    let mut client = Client::connect(server.addr()).expect("connects");
+    assert!(client.negotiate_trace().expect("hello"), "trace advertised");
+    let ctx = bdi::obs::TraceContext {
+        trace: lookup_id,
+        parent: 0,
+    };
+    let request = Request::Lookup {
+        identifier: "GATE-0".into(),
+    };
+    match client.call_traced(&request, ctx).expect("traced lookup") {
+        bdi::serve::Response::Entry { entry: Some(_), .. } => {}
+        other => panic!("unexpected response: {other:?}"),
+    }
+    let spans = client.trace(lookup_id).expect("trace fetch").spans;
+    let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["serve.request"], "inline lookup tree: {spans:?}");
+    assert_eq!(spans[0].cmd, "lookup");
+    drop(client);
     server.shutdown();
 }
 

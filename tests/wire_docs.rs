@@ -8,6 +8,8 @@
 //!   expected Markdown is printed, ready to paste;
 //! * `Request::kind()` maps one request of each variant onto every row
 //!   exactly once, under the variant's serde name;
+//! * a row runs on the readiness loop only on a tier that answers it,
+//!   and never has an opcode (the loop leaves binary frames raw);
 //! * every row with an opcode round-trips through the frame codec, and
 //!   no other row encodes as a frame;
 //! * on each tier, `hello` lists exactly the rows that tier answers
@@ -104,23 +106,45 @@ fn command_table() -> String {
             "—"
         }
     };
+    let list = |items: Vec<String>| {
+        if items.is_empty() {
+            "—".to_string()
+        } else {
+            items.join(", ")
+        }
+    };
     table(
-        &["command", "opcode", "HTTP", "backend", "router"],
+        &[
+            "command",
+            "opcode",
+            "HTTP",
+            "backend",
+            "router",
+            "on the loop",
+        ],
         WIRE.iter().map(|spec| {
-            let routes: Vec<String> = spec.http.iter().map(|r| code(&r.to_string())).collect();
             vec![
                 code(spec.name),
                 spec.opcode.map_or("—".to_string(), opcode),
-                if routes.is_empty() {
-                    "—".to_string()
-                } else {
-                    routes.join(", ")
-                },
+                list(spec.http.iter().map(|r| code(&r.to_string())).collect()),
                 mark(spec, Tier::Backend).to_string(),
                 mark(spec, Tier::Router).to_string(),
+                list(
+                    spec.inline
+                        .iter()
+                        .map(|&tier| tier_name(tier).to_string())
+                        .collect(),
+                ),
             ]
         }),
     )
+}
+
+fn tier_name(tier: Tier) -> &'static str {
+    match tier {
+        Tier::Backend => "backend",
+        Tier::Router => "router",
+    }
 }
 
 fn reply_opcode_table() -> String {
@@ -203,6 +227,26 @@ fn kind_maps_every_variant_to_its_own_row() {
         };
         assert_eq!(request.kind(), serde_name);
         assert_eq!(WIRE[request.row()].name, serde_name);
+    }
+}
+
+#[test]
+fn inline_rows_are_served_by_their_tier_and_have_no_opcode() {
+    for spec in &WIRE {
+        for tier in spec.inline {
+            assert!(
+                spec.tiers.contains(tier),
+                "{} runs inline on a tier that does not answer it: {tier:?}",
+                spec.name
+            );
+        }
+        // the readiness loop never decodes a binary frame, so an inline
+        // row with an opcode would silently run on the pool
+        assert!(
+            spec.inline.is_empty() || spec.opcode.is_none(),
+            "{} runs inline but has an opcode",
+            spec.name
+        );
     }
 }
 
